@@ -9,6 +9,7 @@
 #include "src/atpg/fault_sim.hpp"
 #include "src/atpg/podem.hpp"
 #include "src/circuits/benchmarks.hpp"
+#include "src/core/flow.hpp"
 #include "src/dfm/checker.hpp"
 #include "src/library/osu018.hpp"
 #include "src/sim/parallel_sim.hpp"
@@ -765,6 +766,68 @@ TEST(Engine, CacheReproducesStatuses) {
     EXPECT_EQ(fresh.status[i], cached.status[i]) << i;
   }
 }
+
+/// Pins the PODEM search on real blocks: run_atpg at the default seed
+/// with a small backtrack budget must reproduce these exact verdict
+/// counts, backtrack totals, test counts and a digest of every status
+/// and test bit. Any change to decision order, evaluation order or rng
+/// draws shows up here; a pure speed change must leave them alone.
+struct PinnedRun {
+  const char* block;
+  std::uint64_t backtracks;
+  std::size_t detected;
+  std::size_t undetectable;
+  std::size_t aborted;
+  std::size_t tests;
+  std::uint64_t digest;
+};
+
+void PrintTo(const PinnedRun& pin, std::ostream* os) { *os << pin.block; }
+
+std::uint64_t result_digest(const AtpgResult& r) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+  const auto mix = [&](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (const FaultStatus s : r.status) mix(static_cast<std::uint64_t>(s));
+  for (const TestPattern& t : r.tests) {
+    for (const std::uint8_t b : t.frame0) mix(b);
+    for (const std::uint8_t b : t.frame1) mix(b + 2u);
+  }
+  return h;
+}
+
+class PinnedSearch : public ::testing::TestWithParam<PinnedRun> {};
+
+TEST_P(PinnedSearch, ReproducesVerdictsAndBacktracks) {
+  const PinnedRun& pin = GetParam();
+  FlowOptions flow_options;
+  flow_options.atpg.backtrack_limit = 60;
+  flow_options.atpg.num_threads = 1;
+  DesignFlow flow(lib(), flow_options);
+  const FlowState state =
+      flow.run_initial(build_benchmark(pin.block).value()).value();
+
+  AtpgOptions options = flow_options.atpg;
+  ASSERT_EQ(options.seed, 12345u);
+  const AtpgResult r =
+      run_atpg(state.netlist, state.universe, flow.udfm(), options);
+  EXPECT_EQ(r.counters.podem_backtracks, pin.backtracks);
+  EXPECT_EQ(r.num_detected, pin.detected);
+  EXPECT_EQ(r.num_undetectable, pin.undetectable);
+  EXPECT_EQ(r.num_aborted, pin.aborted);
+  EXPECT_EQ(r.tests.size(), pin.tests);
+  EXPECT_EQ(result_digest(r), pin.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Blocks, PinnedSearch,
+    ::testing::Values(PinnedRun{"sparc_ffu", 18363, 14283, 31, 322, 244,
+                                11250561641288897083ull},
+                      PinnedRun{"sparc_tlu", 1647, 3643, 72, 26, 160,
+                                18393076336627579593ull}),
+    [](const auto& info) { return std::string(info.param.block); });
 
 }  // namespace
 }  // namespace dfmres
