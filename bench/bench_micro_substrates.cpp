@@ -110,7 +110,8 @@ void BM_PodemDetect(benchmark::State& state) {
   const CombView view = CombView::build(nl);
   static DesignFlow flow(osu018_library(), {});
   const FaultUniverse universe = extract_internal_faults(nl, flow.udfm());
-  Podem podem(nl, view, {2500});
+  const DenseView dense = DenseView::build(nl, view);
+  Podem podem(dense, {2500});
   std::size_t i = 0;
   std::vector<V3> test;
   for (auto _ : state) {

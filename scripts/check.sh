@@ -72,7 +72,8 @@ assert any(e.get("ph") == "X" for e in trace["traceEvents"]), "no spans"
 metrics = json.load(open(os.path.join(d, "metrics.json")))
 assert metrics["counters"].get("atpg.patterns_simulated", 0) > 0
 report = json.load(open(os.path.join(d, "report.json")))
-assert report["schema"] == "dfmres-run-report-v1"
+assert report["schema"] == "dfmres-run-report-v2"
+assert "aborted" in report["final"] and "detected" in report["final"]
 assert report["resynthesis"]["convergence"], "empty convergence series"
 print("observability gate: trace/metrics/report OK")
 EOF

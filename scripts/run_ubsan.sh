@@ -3,9 +3,10 @@
 # for the paths that parse untrusted or on-disk bytes: the Verilog
 # front-end (verilog_test), the checkpoint journal reader and the
 # cancellation machinery (resilience_test), plus the netlist core they
-# feed (netlist_test). Narrower and much faster than the combined
-# ASan+UBSan build in run_asan.sh; any report aborts with a non-zero
-# exit. Usage: scripts/run_ubsan.sh [build-dir]
+# feed (netlist_test), and the PODEM search (atpg_test: the per-search
+# subgraph's index arithmetic and bitset shifts). Narrower and much
+# faster than the combined ASan+UBSan build in run_asan.sh; any report
+# aborts with a non-zero exit. Usage: scripts/run_ubsan.sh [build-dir]
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -14,13 +15,15 @@ BUILD_DIR="${1:-build-ubsan}"
 cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target verilog_test netlist_test resilience_test simd_kernel_test
+  --target verilog_test netlist_test resilience_test simd_kernel_test \
+  atpg_test
 
 # Fail loudly on the first report.
 SAN_ENV="halt_on_error=1 exitcode=66"
 UBSAN_OPTIONS="$SAN_ENV" "$BUILD_DIR/tests/verilog_test"
 UBSAN_OPTIONS="$SAN_ENV" "$BUILD_DIR/tests/netlist_test"
 UBSAN_OPTIONS="$SAN_ENV" "$BUILD_DIR/tests/resilience_test"
+UBSAN_OPTIONS="$SAN_ENV" "$BUILD_DIR/tests/atpg_test"
 # The portable SimWord kernels lean on fixed-count loops and unaligned
 # uint64 loads; UBSan checks the shifts and pointer math across every
 # width, batch-tail shape included.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Summarize a dfmres run or campaign report.
 
-For a dfmres-run-report-v1 document (--report-out /
+For a dfmres-run-report-v2 (or older v1) document (--report-out /
 BENCH_*_report.json) prints the run header, initial vs final
 Table-II-style stats, ATPG and resynthesis counters, and a compact
 convergence table. For a dfmres-campaign-report-v1 document
@@ -29,6 +29,7 @@ KNOWN_SCHEMAS = [
     "dfmres-campaign-report-v1",
     "dfmres-campaign-shard-v1",
     "dfmres-run-report-v1",
+    "dfmres-run-report-v2",
     "dfmres-lease-v1",
     "dfmres-telemetry-v1",
     "dfmres-status-v1",
@@ -41,8 +42,11 @@ KNOWN_SCHEMAS = [
 
 
 def fmt_state(s):
+    # v2 carries detected/aborted and defines coverage as detected/F; a v1
+    # report has neither count, and its coverage credited aborts.
+    aborted = s.get("aborted", "-")
     return (
-        f"U={s['undetectable']:<6} Smax={s['smax']:<6} "
+        f"U={s['undetectable']:<6} A={aborted:<5} Smax={s['smax']:<6} "
         f"%Smax={s['smax_pct']:6.2f}  cov={100.0 * s['coverage']:6.2f}%  "
         f"delay={s['delay']:.3f}  power={s['power']:.1f}  T={s['tests']}"
     )
@@ -73,7 +77,7 @@ def summarize(path):
     if schema == "dfmres-bench-serve-v1":
         summarize_serve_saturation(path, report)
         return
-    if schema != "dfmres-run-report-v1":
+    if schema not in ("dfmres-run-report-v1", "dfmres-run-report-v2"):
         raise ValueError(f"{path}: unexpected schema {schema!r}")
 
     print(f"== {path}")

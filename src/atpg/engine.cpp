@@ -429,7 +429,7 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   // ---- phase 2: deterministic PODEM ----
   const auto phase2_start = Clock::now();
   phase_span.emplace("atpg.phase2.podem", "atpg");
-  Podem podem(nl, view, {options.backtrack_limit, options.cancel});
+  Podem podem(*dense, {options.backtrack_limit, options.cancel});
   // Process remaining targets; each generated test also drops others.
   std::vector<std::uint32_t> queue = std::move(targets);
   targets.clear();

@@ -100,10 +100,13 @@ struct AtpgResult {
   bool cancelled = false;
   AtpgCounters counters;            ///< instrumentation (see util/stats)
 
+  /// Fault coverage: the detected share of all faults. Undetectable,
+  /// aborted and unclassified faults all count against it, so an aborted
+  /// search is never credited as covered.
   [[nodiscard]] double coverage(std::size_t num_faults) const {
     if (num_faults == 0) return 1.0;
-    return 1.0 - static_cast<double>(num_undetectable) /
-                     static_cast<double>(num_faults);
+    return static_cast<double>(num_detected) /
+           static_cast<double>(num_faults);
   }
 };
 

@@ -1,228 +1,279 @@
 #include "src/atpg/podem.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <utility>
+#include <bit>
 
 namespace dfmres {
 
 namespace {
 constexpr int kPow3[7] = {1, 3, 9, 27, 81, 243, 729};
+constexpr std::uint32_t kNoLut = 0xFFFFFFFFu;
+// driver_rank_ markers for nodes no relevant gate drives.
+constexpr std::uint32_t kSource = 0xFFFFFFFEu;
+constexpr std::uint32_t kUndriven = 0xFFFFFFFFu;
+}  // namespace
+
+Podem::Podem(const DenseView& dense, Config config)
+    : dense_(dense), config_(config) {
+  gate_lut_.assign(dense.gate_slots, kNoLut);
+  net_stamp_.assign(dense.net_slots, 0);
+  net_node_.assign(dense.net_slots, 0);
+  gate_stamp_.assign(dense.gate_slots, 0);
+  gate_rank_.assign(dense.gate_slots, 0);
 }
 
-Podem::Podem(const Netlist& nl, const CombView& view, Config config)
-    : nl_(nl), view_(view), config_(config) {
-  value_.resize(view.net_slots);
-  source_assign_.resize(view.sources.size());
-  source_ordinal_.assign(view.net_slots, -1);
-  for (std::size_t i = 0; i < view.sources.size(); ++i) {
-    source_ordinal_[view.sources[i].value()] = static_cast<std::int32_t>(i);
-  }
-  // Precompute ternary evaluation LUTs per cell output: index is the
-  // base-3 encoding of the input values (0, 1, X). This makes the full
-  // forward implication pass ~10x cheaper than enumerating X inputs.
-  const Library& lib = nl.library();
-  lut_.resize(lib.num_cells());
-  for (std::uint32_t c = 0; c < lib.num_cells(); ++c) {
-    const CellSpec& cell = lib.cell(CellId{c});
-    if (cell.sequential) continue;
-    const int n = cell.num_inputs;
-    const int combos = kPow3[n];
-    for (int out = 0; out < cell.num_outputs; ++out) {
-      auto& table = lut_[c][static_cast<std::size_t>(out)];
-      table.resize(static_cast<std::size_t>(combos));
-      V3 ins[kMaxCellInputs];
-      for (int idx = 0; idx < combos; ++idx) {
-        int rest = idx;
-        for (int i = 0; i < n; ++i) {
-          ins[i] = static_cast<V3>(rest % 3);
-          rest /= 3;
-        }
-        table[static_cast<std::size_t>(idx)] = static_cast<std::uint8_t>(
-            eval_cell_v3(cell, out, {ins, static_cast<std::size_t>(n)}));
+std::uint32_t Podem::lut_of(std::uint32_t g) {
+  if (gate_lut_[g] != kNoLut) return gate_lut_[g];
+  const CellSpec* cell = dense_.cell[g];
+  const auto it = std::find_if(lut_cells_.begin(), lut_cells_.end(),
+                               [&](const auto& e) { return e.first == cell; });
+  if (it != lut_cells_.end()) return gate_lut_[g] = it->second;
+  // Precompute the ternary table of every output once per cell: this
+  // makes a forward implication ~10x cheaper than enumerating X inputs.
+  const auto block = static_cast<std::uint32_t>(lut_.size());
+  const int n = cell->num_inputs;
+  V3 ins[kMaxCellInputs];
+  for (int out = 0; out < cell->num_outputs; ++out) {
+    for (int idx = 0; idx < kPow3[n]; ++idx) {
+      int rest = idx;
+      for (int i = 0; i < n; ++i) {
+        ins[i] = static_cast<V3>(rest % 3);
+        rest /= 3;
       }
+      lut_.push_back(static_cast<std::uint8_t>(
+          eval_cell_v3(*cell, out, {ins, static_cast<std::size_t>(n)})));
     }
   }
-  // Topological positions for cone ordering.
-  topo_pos_.assign(nl.gate_capacity(), 0);
-  for (std::uint32_t i = 0; i < view.order.size(); ++i) {
-    topo_pos_[view.order[i].value()] = i;
-  }
-  in_cone_net_.assign(view.net_slots, 0);
-  cone_seen_gate_.assign(nl.gate_capacity(), 0);
-  visited_net_.assign(view.net_slots, 0);
-  relevant_net_.assign(view.net_slots, 0);
-  relevant_gate_.assign(nl.gate_capacity(), 0);
-  observe_flag_.assign(view.net_slots, false);
-  for (NetId obs : view.observe) observe_flag_[obs.value()] = true;
+  lut_cells_.emplace_back(cell, block);
+  return gate_lut_[g] = block;
 }
 
-V3 Podem::eval_gate(GateId g, int out) const {
-  const auto& gate = nl_.gate(g);
-  int idx = 0;
-  for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
-    idx += static_cast<int>(value_[gate.fanin[i].value()].good) * kPow3[i];
+int Podem::good_index(std::uint32_t r) const {
+  int idx = 0;  // Horner, from the last input down
+  for (std::uint32_t i = fanin_offset_[r + 1]; i > fanin_offset_[r]; --i) {
+    idx = idx * 3 + static_cast<int>(value_[fanin_node_[i - 1]].good);
   }
-  return static_cast<V3>(
-      lut_[nl_.gate(g).cell.value()][static_cast<std::size_t>(out)]
-          [static_cast<std::size_t>(idx)]);
+  return idx;
 }
 
-void Podem::simulate_good() {
-  // Baseline pass for the current search. Only gates in the relevant set
-  // are evaluated: every net the search reads is a source or the output
-  // of a relevant gate (build_relevant closes backward over drivers), so
-  // the skipped gates' stale values are unobservable.
-  for (std::size_t i = 0; i < view_.sources.size(); ++i) {
-    value_[view_.sources[i].value()].good = source_assign_[i];
-  }
-  for (GateId g : view_.order) {
-    if (relevant_gate_[g.value()] != relevant_epoch_) continue;
-    const auto& gate = nl_.gate(g);
-    const auto& luts = lut_[gate.cell.value()];
-    int idx = 0;
-    for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
-      idx += static_cast<int>(value_[gate.fanin[i].value()].good) * kPow3[i];
-    }
-    for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
-      value_[gate.outputs[k].value()].good =
-          static_cast<V3>(luts[k][static_cast<std::size_t>(idx)]);
-    }
-  }
-}
-
-void Podem::build_cone(NetId victim) {
-  ++cone_epoch_;
-  cone_gates_.clear();
-  in_cone_net_[victim.value()] = cone_epoch_;
-  // BFS over sinks; gates collected then sorted topologically.
-  scratch_queue_.clear();
-  scratch_queue_.push_back(victim);
-  while (!scratch_queue_.empty()) {
-    const NetId n = scratch_queue_.back();
-    scratch_queue_.pop_back();
-    for (const PinRef& sink : nl_.net(n).sinks) {
-      if (nl_.cell_of(sink.gate).sequential) continue;
-      if (cone_seen_gate_[sink.gate.value()] == cone_epoch_) continue;
-      cone_seen_gate_[sink.gate.value()] = cone_epoch_;
-      cone_gates_.push_back(sink.gate);
-      for (NetId out : nl_.gate(sink.gate).outputs) {
-        if (in_cone_net_[out.value()] != cone_epoch_) {
-          in_cone_net_[out.value()] = cone_epoch_;
-          scratch_queue_.push_back(out);
-        }
-      }
-    }
-  }
-  std::sort(cone_gates_.begin(), cone_gates_.end(),
-            [&](GateId a, GateId b) {
-              return topo_pos_[a.value()] < topo_pos_[b.value()];
-            });
-}
-
-void Podem::build_relevant(std::span<const CondLiteral> lits,
+void Podem::build_subgraph(std::span<const CondLiteral> lits,
                            const Excitation* exc) {
-  ++relevant_epoch_;
-  scratch_queue_.clear();
-  const auto push = [&](NetId n) {
-    if (n.valid() && relevant_net_[n.value()] != relevant_epoch_) {
-      relevant_net_[n.value()] = relevant_epoch_;
-      scratch_queue_.push_back(n);
+  const DenseView& dv = dense_;
+  ++epoch_;
+  nodes_.clear();
+  gates_.clear();
+  const auto node_of = [&](std::uint32_t net) {
+    if (net_stamp_[net] != epoch_) {
+      net_stamp_[net] = epoch_;
+      net_node_[net] = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(net);
     }
+    return net_node_[net];
   };
-  for (const CondLiteral& lit : lits) push(lit.net);
+  // Adds a gate with all its outputs; false if it was already present.
+  const auto add_gate = [&](std::uint32_t g) {
+    if (gate_stamp_[g] == epoch_) return false;
+    gate_stamp_[g] = epoch_;
+    gates_.push_back(g);
+    for (std::uint32_t k = dv.output_offset[g]; k < dv.output_offset[g + 1];
+         ++k) {
+      node_of(dv.output_net[k]);
+    }
+    return true;
+  };
+
+  // Victim cone: a forward walk over combinational sinks, with the node
+  // list itself as the queue (only cone nets exist while it runs).
+  scratch_.clear();
   if (exc != nullptr) {
-    push(exc->victim);
-    for (GateId g : cone_gates_) {
-      const auto& gate = nl_.gate(g);
-      for (NetId out : gate.outputs) push(out);
-      for (NetId in : gate.fanin) push(in);
+    node_of(exc->victim.value());
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      const std::uint32_t net = nodes_[i];
+      for (std::uint32_t s = dv.fanout_offset[net];
+           s < dv.fanout_offset[net + 1]; ++s) {
+        add_gate(dv.fanout_gate[s]);
+      }
+    }
+    scratch_.assign(gates_.begin(), gates_.end());  // the cone gates
+  }
+  lit_node_.clear();
+  for (const CondLiteral& lit : lits) {
+    lit_node_.push_back(node_of(lit.net.value()));
+  }
+  for (const std::uint32_t g : scratch_) {
+    for (std::uint32_t i = dv.fanin_offset[g]; i < dv.fanin_offset[g + 1];
+         ++i) {
+      node_of(dv.fanin_net[i]);
     }
   }
-  // Backward closure over combinational drivers; sources terminate.
-  while (!scratch_queue_.empty()) {
-    const NetId n = scratch_queue_.back();
-    scratch_queue_.pop_back();
-    if (source_ordinal_[n.value()] >= 0) continue;
-    const auto& net = nl_.net(n);
-    if (!net.has_gate_driver()) continue;
-    const GateId g = net.driver_gate;
-    if (nl_.cell_of(g).sequential) continue;
-    relevant_gate_[g.value()] = relevant_epoch_;
-    for (NetId in : nl_.gate(g).fanin) push(in);
+  // Backward closure over combinational drivers; sources, undriven nets
+  // and flop outputs terminate it.
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const std::uint32_t d = dv.driver[nodes_[i]];
+    if (d == DenseView::kNoDriver || dv.is_sequential[d]) continue;
+    if (!add_gate(d)) continue;
+    for (std::uint32_t k = dv.fanin_offset[d]; k < dv.fanin_offset[d + 1];
+         ++k) {
+      node_of(dv.fanin_net[k]);
+    }
   }
-}
 
-V3 Podem::faulty_of(NetId n) const {
-  return in_cone_net_[n.value()] == cone_epoch_ ? value_[n.value()].faulty
-                                                : value_[n.value()].good;
+  // Ranks: relevant gates in topological order.
+  std::sort(gates_.begin(), gates_.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return dv.topo_pos[a] < dv.topo_pos[b];
+  });
+  const auto num_nodes = static_cast<std::uint32_t>(nodes_.size());
+  const auto num_ranks = static_cast<std::uint32_t>(gates_.size());
+  driver_rank_.assign(num_nodes, kUndriven);
+  driver_out_.assign(num_nodes, 0);
+  fanin_offset_.assign(1, 0);
+  out_offset_.assign(1, 0);
+  fanin_node_.clear();
+  out_node_.clear();
+  out_lut_.clear();
+  for (std::uint32_t r = 0; r < num_ranks; ++r) {
+    const std::uint32_t g = gates_[r];
+    gate_rank_[g] = r;
+    for (std::uint32_t i = dv.fanin_offset[g]; i < dv.fanin_offset[g + 1];
+         ++i) {
+      fanin_node_.push_back(net_node_[dv.fanin_net[i]]);
+    }
+    const std::uint32_t block = lut_of(g);
+    const auto stride = static_cast<std::uint32_t>(
+        kPow3[dv.fanin_offset[g + 1] - dv.fanin_offset[g]]);
+    for (std::uint32_t k = dv.output_offset[g]; k < dv.output_offset[g + 1];
+         ++k) {
+      const std::uint32_t node = net_node_[dv.output_net[k]];
+      driver_rank_[node] = r;
+      driver_out_[node] = static_cast<std::uint32_t>(out_node_.size());
+      out_node_.push_back(node);
+      out_lut_.push_back(block + (k - dv.output_offset[g]) * stride);
+    }
+    fanin_offset_.push_back(static_cast<std::uint32_t>(fanin_node_.size()));
+    out_offset_.push_back(static_cast<std::uint32_t>(out_node_.size()));
+  }
+  sources_.clear();
+  for (std::uint32_t i = 0; i < dv.sources.size(); ++i) {
+    const std::uint32_t net = dv.sources[i];
+    if (net_stamp_[net] != epoch_) continue;
+    driver_rank_[net_node_[net]] = kSource;
+    sources_.emplace_back(net_node_[net], i);
+  }
+  sink_offset_.assign(1, 0);
+  sink_rank_.clear();
+  observe_.resize(num_nodes);
+  for (std::uint32_t n = 0; n < num_nodes; ++n) {
+    const std::uint32_t net = nodes_[n];
+    for (std::uint32_t s = dv.fanout_offset[net];
+         s < dv.fanout_offset[net + 1]; ++s) {
+      const std::uint32_t g = dv.fanout_gate[s];
+      if (gate_stamp_[g] == epoch_) sink_rank_.push_back(gate_rank_[g]);
+    }
+    std::sort(sink_rank_.begin() + sink_offset_.back(), sink_rank_.end());
+    sink_offset_.push_back(static_cast<std::uint32_t>(sink_rank_.size()));
+    observe_[n] = dv.observe_flag[net];
+  }
+  cone_ranks_.clear();
+  for (const std::uint32_t g : scratch_) cone_ranks_.push_back(gate_rank_[g]);
+  std::sort(cone_ranks_.begin(), cone_ranks_.end());
+
+  // All-X baseline; decisions then propagate incrementally.
+  value_.assign(num_nodes, V5{});
+  for (std::uint32_t r = 0; r < num_ranks; ++r) {
+    const int idx = good_index(r);
+    for (std::uint32_t k = out_offset_[r]; k < out_offset_[r + 1]; ++k) {
+      const auto v = static_cast<V3>(lut_[out_lut_[k] + idx]);
+      value_[out_node_[k]] = V5{v, v};
+    }
+  }
+  diff_nodes_.clear();
+  dirty_.assign(num_ranks, 0);
+  pending_.assign((num_ranks + 63) / 64, 0);
+  visited_.assign(num_nodes, 0);
+  visit_epoch_ = 0;
 }
 
 void Podem::simulate_faulty(const Excitation& exc, V3 excited) {
-  // Victim injection on the faulty side; everything outside the victim's
-  // fanout cone equals the good machine by construction. Observation is
-  // checked in the same pass (one cone walk instead of two).
-  V5& v = value_[exc.victim.value()];
-  if (excited == V3::One) {
-    v.faulty = v3_of(exc.faulty_value);
-  } else if (excited == V3::X && v.good != v3_of(exc.faulty_value)) {
-    v.faulty = V3::X;
-  } else {
-    v.faulty = v.good;
-  }
-  observed_ = observe_flag_[exc.victim.value()] && v.has_fault_effect();
-  for (GateId g : cone_gates_) {
-    const auto& gate = nl_.gate(g);
-    const auto& luts = lut_[gate.cell.value()];
-    int idx = 0;
-    for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
-      idx += static_cast<int>(faulty_of(gate.fanin[i])) * kPow3[i];
+  // Victim injection on the faulty side, then one sweep of the victim cone
+  // in rank order that evaluates only gates with a fanin whose faulty
+  // value differs from its good value: every other node's faulty value
+  // is its good value. Observation is checked in the same pass.
+  for (const std::uint32_t n : diff_nodes_) value_[n].faulty = value_[n].good;
+  diff_nodes_.clear();
+  touched_.clear();
+  observed_ = false;
+  std::uint32_t dirty = 0;  // cone gates marked and not yet swept
+  const auto set_faulty = [&](std::uint32_t n, V3 f) {
+    value_[n].faulty = f;
+    diff_nodes_.push_back(n);
+    observed_ |= observe_[n] != 0 && value_[n].has_fault_effect();
+    for (std::uint32_t s = sink_offset_[n]; s < sink_offset_[n + 1]; ++s) {
+      dirty += dirty_[sink_rank_[s]] ^ 1u;
+      dirty_[sink_rank_[s]] = 1;
     }
-    for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
-      const NetId out = gate.outputs[k];
-      V5& ov = value_[out.value()];
-      ov.faulty = static_cast<V3>(luts[k][static_cast<std::size_t>(idx)]);
-      observed_ |= observe_flag_[out.value()] && ov.has_fault_effect();
+  };
+  const V3 good = value_[0].good;  // the victim is node 0
+  V3 f = good;
+  if (excited == V3::One) {
+    f = v3_of(exc.faulty_value);
+  } else if (excited == V3::X && good != v3_of(exc.faulty_value)) {
+    f = V3::X;
+  }
+  if (f != good) set_faulty(0, f);
+  for (std::size_t c = 0; dirty != 0; ++c) {
+    const std::uint32_t r = cone_ranks_[c];
+    if (dirty_[r] == 0) continue;
+    dirty_[r] = 0;
+    --dirty;
+    touched_.push_back(r);
+    int idx = 0;
+    for (std::uint32_t i = fanin_offset_[r + 1]; i > fanin_offset_[r]; --i) {
+      idx = idx * 3 + static_cast<int>(value_[fanin_node_[i - 1]].faulty);
+    }
+    for (std::uint32_t k = out_offset_[r]; k < out_offset_[r + 1]; ++k) {
+      const auto fo = static_cast<V3>(lut_[out_lut_[k] + idx]);
+      if (fo != value_[out_node_[k]].good) set_faulty(out_node_[k], fo);
     }
   }
 }
 
 V3 Podem::excitation_state(std::span<const CondLiteral> lits) const {
   bool any_x = false;
-  for (const CondLiteral& lit : lits) {
-    if (lit.frame != 1) continue;
-    const V3 v = value_[lit.net.value()].good;
+  for (std::size_t i = 0; i < lits.size(); ++i) {
+    if (lits[i].frame != 1) continue;
+    const V3 v = value_[lit_node_[i]].good;
     if (v == V3::X) {
       any_x = true;
-    } else if (v != v3_of(lit.value)) {
+    } else if (v != v3_of(lits[i].value)) {
       return V3::Zero;  // definitely broken
     }
   }
   return any_x ? V3::X : V3::One;
 }
 
-bool Podem::x_path_exists(NetId victim) {
-  // Forward BFS inside the cone through nets that could still carry the
-  // fault effect.
+bool Podem::x_path_exists() {
+  // Forward search inside the cone through nodes that could still carry
+  // the fault effect, from the victim to any observation point.
   ++visit_epoch_;
-  const auto passable = [&](NetId n) {
-    const V5 v{value_[n.value()].good, faulty_of(n)};
+  const auto passable = [&](std::uint32_t n) {
+    const V5 v = value_[n];
     return v.has_fault_effect() || v.faulty == V3::X || v.good == V3::X;
   };
-  if (!passable(victim)) return false;
-  scratch_queue_.clear();
-  scratch_queue_.push_back(victim);
-  visited_net_[victim.value()] = visit_epoch_;
-  while (!scratch_queue_.empty()) {
-    const NetId n = scratch_queue_.back();
-    scratch_queue_.pop_back();
-    if (nl_.net(n).is_primary_output) return true;
-    for (const PinRef& sink : nl_.net(n).sinks) {
-      if (nl_.cell_of(sink.gate).sequential) return true;  // reaches a flop
-      for (NetId out : nl_.gate(sink.gate).outputs) {
-        if (visited_net_[out.value()] != visit_epoch_ && passable(out)) {
-          visited_net_[out.value()] = visit_epoch_;
-          scratch_queue_.push_back(out);
+  if (!passable(0)) return false;
+  scratch_.clear();
+  scratch_.push_back(0);
+  visited_[0] = visit_epoch_;
+  while (!scratch_.empty()) {
+    const std::uint32_t n = scratch_.back();
+    scratch_.pop_back();
+    if (observe_[n] != 0) return true;  // a PO or a flop input
+    for (std::uint32_t s = sink_offset_[n]; s < sink_offset_[n + 1]; ++s) {
+      const std::uint32_t r = sink_rank_[s];
+      for (std::uint32_t k = out_offset_[r]; k < out_offset_[r + 1]; ++k) {
+        const std::uint32_t out = out_node_[k];
+        if (visited_[out] != visit_epoch_ && passable(out)) {
+          visited_[out] = visit_epoch_;
+          scratch_.push_back(out);
         }
       }
     }
@@ -231,38 +282,36 @@ bool Podem::x_path_exists(NetId victim) {
 }
 
 std::optional<Podem::Objective> Podem::pick_objective(
-    std::span<const CondLiteral> lits, const Excitation* exc) {
+    std::span<const CondLiteral> lits, const Excitation* exc) const {
   // 1. Unjustified condition literal.
-  for (const CondLiteral& lit : lits) {
-    if (lit.frame != 1) continue;
-    if (value_[lit.net.value()].good == V3::X) {
-      return Objective{lit.net, lit.value};
+  for (std::size_t i = 0; i < lits.size(); ++i) {
+    if (lits[i].frame != 1) continue;
+    if (value_[lit_node_[i]].good == V3::X) {
+      return Objective{lit_node_[i], lits[i].value};
     }
   }
   if (!exc) return std::nullopt;  // pure justification: everything done
 
   // 2. Victim good value must oppose the forced value.
-  const V5& v = value_[exc->victim.value()];
-  if (v.good == V3::X) {
-    return Objective{exc->victim, !exc->faulty_value};
-  }
+  if (value_[0].good == V3::X) return Objective{0, !exc->faulty_value};
 
-  // 3. D-frontier inside the victim cone: a gate with a fault effect on
-  // an input whose output is still undecided; set one X input to help.
-  for (GateId g : cone_gates_) {
-    const auto& gate = nl_.gate(g);
+  // 3. D-frontier: a gate with a fault effect on an input whose output
+  // is still undecided; set one X input to help. Only gates the last
+  // simulate_faulty swept have a differing input, in ascending rank.
+  for (const std::uint32_t r : touched_) {
+    const std::uint32_t begin = fanin_offset_[r];
+    const std::uint32_t end = fanin_offset_[r + 1];
     bool has_d_input = false;
-    for (NetId in : gate.fanin) {
-      const V5 iv{value_[in.value()].good, faulty_of(in)};
-      if (iv.has_fault_effect()) {
+    for (std::uint32_t i = begin; i < end; ++i) {
+      if (value_[fanin_node_[i]].has_fault_effect()) {
         has_d_input = true;
         break;
       }
     }
     if (!has_d_input) continue;
     bool output_undecided = false;
-    for (NetId out : gate.outputs) {
-      const V5 ov{value_[out.value()].good, faulty_of(out)};
+    for (std::uint32_t k = out_offset_[r]; k < out_offset_[r + 1]; ++k) {
+      const V5 ov = value_[out_node_[k]];
       if (!ov.has_fault_effect() &&
           (ov.faulty == V3::X || ov.good == V3::X)) {
         output_undecided = true;
@@ -270,63 +319,61 @@ std::optional<Podem::Objective> Podem::pick_objective(
     }
     if (!output_undecided) continue;
     // Choose an X input; prefer the value that exposes the effect.
-    const CellSpec& cell = nl_.cell_of(g);
-    for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
-      if (value_[gate.fanin[i].value()].good != V3::X) continue;
-      V3 goods[kMaxCellInputs], faults[kMaxCellInputs];
-      for (std::size_t j = 0; j < gate.fanin.size(); ++j) {
-        goods[j] = value_[gate.fanin[j].value()].good;
-        faults[j] = faulty_of(gate.fanin[j]);
-      }
+    int good_idx = 0;
+    int faulty_idx = 0;
+    for (std::uint32_t i = begin; i < end; ++i) {
+      good_idx += static_cast<int>(value_[fanin_node_[i]].good) *
+                  kPow3[i - begin];
+      faulty_idx += static_cast<int>(value_[fanin_node_[i]].faulty) *
+                    kPow3[i - begin];
+    }
+    for (std::uint32_t i = begin; i < end; ++i) {
+      const std::uint32_t in = fanin_node_[i];
+      if (value_[in].good != V3::X) continue;
+      // Replace digit i on both sides by the candidate value.
+      const int pow = kPow3[i - begin];
+      const int gx = good_idx - static_cast<int>(V3::X) * pow;
+      const int fx = faulty_idx - static_cast<int>(value_[in].faulty) * pow;
       for (const bool candidate : {true, false}) {
-        goods[i] = v3_of(candidate);
-        faults[i] = v3_of(candidate);
-        for (int k = 0; k < cell.num_outputs; ++k) {
-          const V3 go = eval_cell_v3(cell, k, {goods, gate.fanin.size()});
-          const V3 fo = eval_cell_v3(cell, k, {faults, gate.fanin.size()});
+        const int c = static_cast<int>(v3_of(candidate)) * pow;
+        for (std::uint32_t k = out_offset_[r]; k < out_offset_[r + 1]; ++k) {
+          const auto go = static_cast<V3>(lut_[out_lut_[k] + gx + c]);
+          const auto fo = static_cast<V3>(lut_[out_lut_[k] + fx + c]);
           if (is_definite(go) && is_definite(fo) && go != fo) {
-            return Objective{gate.fanin[i], candidate};
+            return Objective{in, candidate};
           }
         }
       }
       // Neither value provably propagates; still try one (search explores
       // the other on backtrack).
-      return Objective{gate.fanin[i], true};
+      return Objective{in, true};
     }
   }
   return std::nullopt;
 }
 
 std::optional<Podem::Decision> Podem::backtrace(Objective obj) const {
-  NetId net = obj.net;
+  std::uint32_t node = obj.node;
   bool want = obj.value;
   for (;;) {
-    if (source_ordinal_[net.value()] >= 0) {
-      return Decision{static_cast<std::size_t>(source_ordinal_[net.value()]),
-                      want, false};
-    }
-    const auto& n = nl_.net(net);
-    if (!n.has_gate_driver()) return std::nullopt;  // undriven: dead end
-    const GateId g = n.driver_gate;
-    const auto& gate = nl_.gate(g);
-    const CellSpec& cell = nl_.cell_of(g);
-    const int out_pin = n.driver_pin;
+    const std::uint32_t r = driver_rank_[node];
+    if (r == kSource) return Decision{node, want, false};
+    if (r == kUndriven) return std::nullopt;  // dead end
+    const std::uint8_t* lut = lut_.data() + out_lut_[driver_out_[node]];
+    const int idx = good_index(r);
 
     // Pick an X input; choose the value most likely to produce `want`.
-    int chosen = -1;
+    const std::uint32_t begin = fanin_offset_[r];
+    int chosen = -1;  // position in fanin_node_
     bool chosen_value = want;
-    V3 ins[kMaxCellInputs];
-    for (std::size_t j = 0; j < gate.fanin.size(); ++j) {
-      ins[j] = value_[gate.fanin[j].value()].good;
-    }
-    for (std::size_t i = 0; i < gate.fanin.size() && chosen < 0; ++i) {
-      if (ins[i] != V3::X) continue;
+    for (std::uint32_t i = begin; i < fanin_offset_[r + 1] && chosen < 0;
+         ++i) {
+      if (value_[fanin_node_[i]].good != V3::X) continue;
+      const int pow = kPow3[i - begin];
       for (const bool candidate : {true, false}) {
-        V3 trial[kMaxCellInputs];
-        std::copy(ins, ins + gate.fanin.size(), trial);
-        trial[i] = v3_of(candidate);
-        const V3 out =
-            eval_cell_v3(cell, out_pin, {trial, gate.fanin.size()});
+        const V3 out = static_cast<V3>(
+            lut[idx + (static_cast<int>(v3_of(candidate)) -
+                       static_cast<int>(V3::X)) * pow]);
         if (out == v3_of(want) || out == V3::X) {
           chosen = static_cast<int>(i);
           chosen_value = candidate;
@@ -339,52 +386,50 @@ std::optional<Podem::Decision> Podem::backtrace(Objective obj) const {
       // means the objective is already decided against us.
       return std::nullopt;
     }
-    net = gate.fanin[static_cast<std::size_t>(chosen)];
+    node = fanin_node_[static_cast<std::uint32_t>(chosen)];
     want = chosen_value;
   }
 }
 
-void Podem::assign_source(std::size_t source, V3 v) {
+void Podem::assign_source(std::uint32_t node, V3 v) {
   trail_marks_.push_back(trail_.size());
-  source_assign_[source] = v;
-  const NetId src_net = view_.sources[source];
-  if (value_[src_net.value()].good == v) return;
-  trail_.push_back({src_net, value_[src_net.value()].good});
-  value_[src_net.value()].good = v;
-  // Event-driven propagation in topological order, pruned to the gates
-  // the current search can observe (see build_relevant). The heap buffer
-  // is a member so the per-assignment hot path never allocates.
-  auto& queue = event_heap_;
-  queue.clear();
-  const auto schedule_sinks = [&](NetId n) {
-    for (const PinRef& sink : nl_.net(n).sinks) {
-      if (relevant_gate_[sink.gate.value()] != relevant_epoch_) continue;
-      queue.emplace_back(topo_pos_[sink.gate.value()], sink.gate.value());
-      std::push_heap(queue.begin(), queue.end(), std::greater<>{});
+  if (value_[node].good == v) return;
+  trail_.push_back({node, value_[node].good});
+  value_[node] = V5{v, v};
+  // Event-driven implication over a bitset worklist of ranks. Sinks
+  // always outrank their drivers, so one forward scan of the bitset
+  // visits every scheduled gate once, in topological order: a gate
+  // scheduled while the scan runs lies ahead of it.
+  std::uint64_t* pending = pending_.data();
+  std::uint32_t first = 0xFFFFFFFFu;  // lowest / highest pending word
+  std::uint32_t last = 0;
+  const auto schedule_sinks = [&](std::uint32_t n) {
+    const std::uint32_t begin = sink_offset_[n];
+    const std::uint32_t end = sink_offset_[n + 1];
+    if (begin == end) return;
+    for (std::uint32_t s = begin; s < end; ++s) {
+      const std::uint32_t r = sink_rank_[s];
+      pending[r >> 6] |= std::uint64_t{1} << (r & 63);
     }
+    // Sink rows are sorted, so their ends bound the pending words.
+    first = std::min(first, sink_rank_[begin] >> 6);
+    last = std::max(last, sink_rank_[end - 1] >> 6);
   };
-  schedule_sinks(src_net);
-  std::uint32_t last = std::numeric_limits<std::uint32_t>::max();
-  while (!queue.empty()) {
-    const auto [pos, gs] = queue.front();
-    std::pop_heap(queue.begin(), queue.end(), std::greater<>{});
-    queue.pop_back();
-    if (gs == last) continue;  // dedupe repeated scheduling
-    last = gs;
-    const GateId g{gs};
-    const auto& gate = nl_.gate(g);
-    const auto& luts = lut_[gate.cell.value()];
-    int idx = 0;
-    for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
-      idx += static_cast<int>(value_[gate.fanin[i].value()].good) * kPow3[i];
-    }
-    for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
-      const NetId out = gate.outputs[k];
-      const V3 nv = static_cast<V3>(luts[k][static_cast<std::size_t>(idx)]);
-      if (value_[out.value()].good != nv) {
-        trail_.push_back({out, value_[out.value()].good});
-        value_[out.value()].good = nv;
-        schedule_sinks(out);
+  schedule_sinks(node);
+  for (std::uint32_t w = first; w <= last; ++w) {
+    while (pending[w] != 0) {
+      const auto r = static_cast<std::uint32_t>(
+          (w << 6) | static_cast<std::uint32_t>(std::countr_zero(pending[w])));
+      pending[w] &= pending[w] - 1;
+      const int idx = good_index(r);
+      for (std::uint32_t k = out_offset_[r]; k < out_offset_[r + 1]; ++k) {
+        const std::uint32_t out = out_node_[k];
+        const auto nv = static_cast<V3>(lut_[out_lut_[k] + idx]);
+        if (value_[out].good != nv) {
+          trail_.push_back({out, value_[out].good});
+          value_[out] = V5{nv, nv};
+          schedule_sinks(out);
+        }
       }
     }
   }
@@ -394,22 +439,27 @@ void Podem::undo_last_assignment() {
   const std::size_t mark = trail_marks_.back();
   trail_marks_.pop_back();
   while (trail_.size() > mark) {
-    value_[trail_.back().net.value()].good = trail_.back().old_good;
+    const TrailEntry& e = trail_.back();
+    value_[e.node] = V5{e.old_good, e.old_good};
     trail_.pop_back();
   }
 }
 
 Podem::Outcome Podem::search(std::span<const CondLiteral> lits,
                              const Excitation* exc, std::vector<V3>* test) {
-  std::fill(source_assign_.begin(), source_assign_.end(), V3::X);
-  if (exc) build_cone(exc->victim);
-  build_relevant(lits, exc);
+  build_subgraph(lits, exc);
   std::vector<Decision>& stack = stack_;
   stack.clear();
   long backtracks = 0;
   trail_.clear();
   trail_marks_.clear();
-  simulate_good();  // all-X baseline; decisions propagate incrementally
+  const auto emit_test = [&] {
+    if (!test) return;
+    test->assign(dense_.sources.size(), V3::X);
+    for (const auto& [node, ordinal] : sources_) {
+      (*test)[ordinal] = value_[node].good;
+    }
+  };
 
   for (;;) {
     const V3 excited = excitation_state(lits);
@@ -418,19 +468,18 @@ Podem::Outcome Podem::search(std::span<const CondLiteral> lits,
     if (excited == V3::Zero) {
       need_backtrack = true;  // a condition literal is definitely broken
     } else if (exc) {
-      const V5& v = value_[exc->victim.value()];
-      if (v.good == v3_of(exc->faulty_value)) {
+      if (value_[0].good == v3_of(exc->faulty_value)) {
         need_backtrack = true;  // victim cannot oppose the forced value
       } else {
         simulate_faulty(*exc, excited);
         if (observed_) {
-          if (test) *test = source_assign_;
+          emit_test();
           return Outcome::Detected;
         }
-        if (!x_path_exists(exc->victim)) need_backtrack = true;
+        if (!x_path_exists()) need_backtrack = true;
       }
     } else if (excited == V3::One) {
-      if (test) *test = source_assign_;
+      emit_test();
       return Outcome::Detected;  // justification complete
     }
 
@@ -443,7 +492,7 @@ Podem::Outcome Podem::search(std::span<const CondLiteral> lits,
         if (!decision) {
           need_backtrack = true;
         } else {
-          assign_source(decision->source, v3_of(decision->value));
+          assign_source(decision->node, v3_of(decision->value));
           stack.push_back(*decision);
           continue;
         }
@@ -458,14 +507,13 @@ Podem::Outcome Podem::search(std::span<const CondLiteral> lits,
     }
     while (!stack.empty() && stack.back().flipped) {
       undo_last_assignment();
-      source_assign_[stack.back().source] = V3::X;
       stack.pop_back();
     }
     if (stack.empty()) return Outcome::Undetectable;
     undo_last_assignment();
     stack.back().flipped = true;
     stack.back().value = !stack.back().value;
-    assign_source(stack.back().source, v3_of(stack.back().value));
+    assign_source(stack.back().node, v3_of(stack.back().value));
   }
 }
 

@@ -1,13 +1,14 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
-#include <utility>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/atpg/excitation.hpp"
 #include "src/atpg/values.hpp"
-#include "src/netlist/netlist.hpp"
+#include "src/netlist/dense_view.hpp"
 #include "src/util/cancel.hpp"
 
 namespace dfmres {
@@ -21,6 +22,11 @@ namespace dfmres {
 /// The search is complete: exhausting it proves undetectability (the
 /// paper's U set); hitting the backtrack limit yields Aborted, which is
 /// never counted as undetectable.
+///
+/// Each search runs on a compact subgraph built once from the DenseView
+/// (see build_subgraph): the nets it can read get dense local ids
+/// ("nodes"), the gates that compute them get local ids in topological
+/// order ("ranks"), and every hot loop walks local CSR rows.
 class Podem {
  public:
   struct Config {
@@ -33,8 +39,8 @@ class Podem {
 
   enum class Outcome { Detected, Undetectable, Aborted };
 
-  Podem(const Netlist& nl, const CombView& view, Config config);
-  Podem(const Netlist& nl, const CombView& view) : Podem(nl, view, Config{}) {}
+  /// `dense` is borrowed and must outlive the generator.
+  Podem(const DenseView& dense, Config config);
 
   /// Attempts to detect one excitation (frame-1 literals only; frame-0
   /// literals are a separate justify() call). On success `*test`
@@ -45,8 +51,6 @@ class Podem {
   /// requirement; used for the initializing pattern of two-frame faults.
   Outcome justify(std::span<const CondLiteral> lits, std::vector<V3>* test);
 
-  [[nodiscard]] const CombView& view() const { return view_; }
-
   /// Total backtracks across every detect/justify call on this instance
   /// (instrumentation for AtpgCounters).
   [[nodiscard]] std::uint64_t total_backtracks() const {
@@ -55,11 +59,11 @@ class Podem {
 
  private:
   struct Objective {
-    NetId net;
+    std::uint32_t node;
     bool value;
   };
   struct Decision {
-    std::size_t source;  // ordinal in view.sources
+    std::uint32_t node;  // a source node
     bool value;
     bool flipped;
   };
@@ -67,63 +71,78 @@ class Podem {
   Outcome search(std::span<const CondLiteral> lits, const Excitation* exc,
                  std::vector<V3>* test);
 
-  [[nodiscard]] V3 eval_gate(GateId g, int out) const;
-  void simulate_good();
-  /// Incremental decision handling: assigning a source propagates events
-  /// through its fanout and records an undo trail. Propagation is pruned
-  /// to the gates marked by build_relevant — everything else is dead to
-  /// the current search.
-  void assign_source(std::size_t source, V3 v);
+  /// Builds the subgraph of one search and simulates it with every source
+  /// at X. Nodes are the nets the search can ever read: the victim's
+  /// fanout cone (outputs and side inputs), the condition literals, and
+  /// their backward closure over combinational drivers; the victim is
+  /// node 0. Ranks order the gates driving nodes by topological position,
+  /// so every sink outranks its drivers.
+  void build_subgraph(std::span<const CondLiteral> lits,
+                      const Excitation* exc);
+  /// Offset of gate slot `g`'s ternary LUT block in lut_ (built on first
+  /// use per cell).
+  std::uint32_t lut_of(std::uint32_t g);
+  /// Base-3 LUT index of rank `r`'s good fanin values.
+  [[nodiscard]] int good_index(std::uint32_t r) const;
+  /// Sets a source node and propagates the change through its sinks in
+  /// rank order, recording an undo trail.
+  void assign_source(std::uint32_t node, V3 v);
   void undo_last_assignment();
-  /// Collects the victim's fanout cone (the only region where faulty
-  /// values can differ from good ones).
-  void build_cone(NetId victim);
-  /// Marks the nets/gates the current search can ever read: the victim
-  /// cone (outputs and side inputs), the condition literals, and their
-  /// backward closure over combinational drivers. Values outside this
-  /// set are never consulted by the search, so event propagation skips
-  /// them — a pure wall-clock pruning with identical outcomes.
-  void build_relevant(std::span<const CondLiteral> lits, const Excitation* exc);
-  [[nodiscard]] V3 faulty_of(NetId n) const;
-  /// Re-simulates the faulty machine over the victim cone and records
+  /// Propagates the victim's faulty value through its cone and records
   /// whether a fault effect reached an observation point in observed_.
   void simulate_faulty(const Excitation& exc, V3 excited);
   /// All literals hold / definitely broken / undecided on good values.
   [[nodiscard]] V3 excitation_state(std::span<const CondLiteral> lits) const;
-  [[nodiscard]] bool x_path_exists(NetId victim);
+  [[nodiscard]] bool x_path_exists();
   [[nodiscard]] std::optional<Objective> pick_objective(
-      std::span<const CondLiteral> lits, const Excitation* exc);
+      std::span<const CondLiteral> lits, const Excitation* exc) const;
   /// Maps an objective to a source assignment, or nullopt on dead end.
   [[nodiscard]] std::optional<Decision> backtrace(Objective obj) const;
 
-  const Netlist& nl_;
-  const CombView& view_;
+  const DenseView& dense_;
   Config config_;
-  std::vector<V5> value_;           // per net slot
-  std::vector<V3> source_assign_;   // per source ordinal
-  std::vector<std::int32_t> source_ordinal_;  // net slot -> ordinal or -1
-  // Ternary LUTs: lut_[cell][output][base-3 input index].
-  std::vector<std::array<std::vector<std::uint8_t>, 2>> lut_;
-  std::vector<std::uint32_t> topo_pos_;  // gate slot -> topo position
-  // Victim-cone state (epoch-stamped to avoid clearing).
-  std::vector<GateId> cone_gates_;
-  std::vector<std::uint32_t> in_cone_net_;
-  std::vector<std::uint32_t> cone_seen_gate_;
-  std::uint32_t cone_epoch_ = 0;
-  std::vector<std::uint32_t> visited_net_;
+
+  // Ternary LUTs, one block per cell: output k of a cell with n inputs
+  // lives at block + k * 3^n, indexed by the base-3 encoding of the input
+  // values (0, 1, X).
+  std::vector<std::uint8_t> lut_;
+  std::vector<std::pair<const CellSpec*, std::uint32_t>> lut_cells_;
+  std::vector<std::uint32_t> gate_lut_;  // gate slot -> block, or kNoLut
+
+  // Slot -> local id maps of the current search (epoch-stamped).
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> net_stamp_, net_node_;
+  std::vector<std::uint32_t> gate_stamp_, gate_rank_;
+
+  // The subgraph. Per rank: fanin nodes and output nodes (with their LUT
+  // offsets) as CSR rows. Per node: its net slot, sink ranks (CSR), the
+  // driving rank and output (or kSource / kUndriven), and observability.
+  std::vector<std::uint32_t> nodes_;  // node -> net slot
+  std::vector<std::uint32_t> gates_;  // rank -> gate slot
+  std::vector<std::uint32_t> fanin_offset_, fanin_node_;
+  std::vector<std::uint32_t> out_offset_, out_node_, out_lut_;
+  std::vector<std::uint32_t> sink_offset_, sink_rank_;
+  std::vector<std::uint32_t> driver_rank_, driver_out_;
+  std::vector<std::uint8_t> observe_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> sources_;  // node, ordinal
+  std::vector<std::uint32_t> lit_node_;  // parallel to the literals
+  std::vector<std::uint32_t> cone_ranks_;  // victim cone, ascending
+
+  // Per node. A faulty value differs from the good one only at the nodes
+  // in diff_nodes_, which the last simulate_faulty call set; assignments
+  // and undo write both halves.
+  std::vector<V5> value_;
+  std::vector<std::uint32_t> diff_nodes_;
+  std::vector<std::uint32_t> touched_;  // cone ranks simulate_faulty swept
+  std::vector<std::uint8_t> dirty_;     // per rank, simulate_faulty marks
+  std::vector<std::uint64_t> pending_;  // assign_source worklist bitset
+  std::vector<std::uint32_t> visited_;  // per node, x_path_exists stamps
   std::uint32_t visit_epoch_ = 0;
-  // Relevant set of the current search (see build_relevant).
-  std::vector<std::uint32_t> relevant_net_;
-  std::vector<std::uint32_t> relevant_gate_;
-  std::uint32_t relevant_epoch_ = 0;
+  std::vector<std::uint32_t> scratch_;
   bool observed_ = false;  // set by simulate_faulty
-  std::vector<NetId> scratch_queue_;
   std::vector<Decision> stack_;  // decision stack, reused across searches
-  // Min-heap buffer for assign_source's event propagation (reused).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> event_heap_;
-  std::vector<bool> observe_flag_;  // net slot -> is observation point
   struct TrailEntry {
-    NetId net;
+    std::uint32_t node;
     V3 old_good;
   };
   std::vector<TrailEntry> trail_;

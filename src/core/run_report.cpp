@@ -20,7 +20,9 @@ double process_cpu_seconds() {
 void write_summary(JsonWriter& w, const StateSummary& s) {
   w.begin_object();
   w.field("faults", static_cast<std::uint64_t>(s.faults));
+  w.field("detected", static_cast<std::uint64_t>(s.detected));
   w.field("undetectable", static_cast<std::uint64_t>(s.undetectable));
+  w.field("aborted", static_cast<std::uint64_t>(s.aborted));
   w.field("smax", static_cast<std::uint64_t>(s.smax));
   w.field("smax_pct", s.smax_pct);
   w.field("coverage", s.coverage);
@@ -35,7 +37,9 @@ void write_summary(JsonWriter& w, const StateSummary& s) {
 StateSummary StateSummary::of(const FlowState& state) {
   StateSummary s;
   s.faults = state.num_faults();
+  s.detected = state.atpg.num_detected;
   s.undetectable = state.num_undetectable();
+  s.aborted = state.atpg.num_aborted;
   s.smax = state.smax();
   s.smax_pct = state.smax_fraction() * 100.0;
   s.coverage = state.coverage();
@@ -85,7 +89,7 @@ void RunReport::set_partial(bool partial) { partial_ = partial; }
 std::string RunReport::to_json() const {
   JsonWriter w;
   w.begin_object();
-  w.field("schema", schemas::kRunReport);
+  w.field("schema", schemas::kRunReportV2);
   w.field("command", command_);
   w.field("circuit", circuit_);
   w.field("sim_kernel", sim_kernel_);

@@ -13,13 +13,16 @@ namespace dfmres {
 
 /// Design-point summary used by the report's `initial`/`final` blocks —
 /// the Table I / Table II columns of the paper (fault totals, U, |S_max|
-/// and %S_max, coverage, delay, power, test count).
+/// and %S_max, coverage, delay, power, test count), plus the detected and
+/// aborted counts, so every verdict is visible.
 struct StateSummary {
   std::size_t faults = 0;
+  std::size_t detected = 0;
   std::size_t undetectable = 0;
+  std::size_t aborted = 0;
   std::size_t smax = 0;
   double smax_pct = 0.0;  ///< |S_max| as a percentage of all faults
-  double coverage = 0.0;
+  double coverage = 0.0;  ///< detected / faults
   double delay = 0.0;
   double power = 0.0;
   std::size_t tests = 0;

@@ -24,8 +24,13 @@ inline constexpr const char* kCampaignManifest = "dfmres-campaign-manifest-v1";
 inline constexpr const char* kCampaignReport = "dfmres-campaign-report-v1";
 /// One finished job, published exclusively by its lease holder.
 inline constexpr const char* kCampaignShard = "dfmres-campaign-shard-v1";
-/// Single-run report (`--report-out` of flow/resyn).
+/// Single-run report (`--report-out` of flow/resyn). v1 had no detected /
+/// aborted counts and defined coverage as 1 - U/F, which credited
+/// aborted faults as covered; it stays registered for readers.
 inline constexpr const char* kRunReport = "dfmres-run-report-v1";
+/// Current run report: `initial`/`final` carry detected and aborted
+/// counts, and coverage is detected/F.
+inline constexpr const char* kRunReportV2 = "dfmres-run-report-v2";
 /// Epoch lease record under <root>/leases/<job>/e<N>.
 inline constexpr const char* kLease = "dfmres-lease-v1";
 /// Crash-durable worker snapshot under <root>/telemetry/.
@@ -47,9 +52,11 @@ inline constexpr const char* kBenchServe = "dfmres-bench-serve-v1";
 
 /// Every registered schema, for exhaustive validation sweeps.
 inline constexpr const char* kAll[] = {
-    kCampaignManifest, kCampaignReport, kCampaignShard, kRunReport,
-    kLease,            kTelemetry,      kStatus,        kRequest,
-    kResponse,         kBenchProbeOverlay, kBenchSimdKernel, kBenchServe,
+    kCampaignManifest, kCampaignReport,    kCampaignShard,
+    kRunReport,        kRunReportV2,       kLease,
+    kTelemetry,        kStatus,            kRequest,
+    kResponse,         kBenchProbeOverlay, kBenchSimdKernel,
+    kBenchServe,
 };
 
 [[nodiscard]] inline constexpr bool is_registered(std::string_view schema) {

@@ -98,7 +98,8 @@ TEST(Podem, DetectsSimpleStuckAt) {
   const GateId g = f.add("AND2X2", {a, b});
   f.nl.mark_primary_output(f.out(g));
   const CombView view = CombView::build(f.nl);
-  Podem podem(f.nl, view, {1000});
+  const DenseView dense = DenseView::build(f.nl, view);
+  Podem podem(dense, {1000});
   Excitation exc;
   exc.victim = f.out(g);
   exc.faulty_value = false;  // output SA0: need a=b=1
@@ -128,7 +129,8 @@ TEST(Podem, ProvesRedundantFaultUndetectable) {
   const GateId or_g = f.add("OR2X2", {a, f.out(and_g)});
   f.nl.mark_primary_output(f.out(or_g));
   const CombView view = CombView::build(f.nl);
-  Podem podem(f.nl, view, {10000});
+  const DenseView dense = DenseView::build(f.nl, view);
+  Podem podem(dense, {10000});
   // SA1 on the AND output: flips out only when a=0 -> but then faulty
   // out=1 ... wait good out=a; faulty out = a|1 = 1; at a=0 differs ->
   // detectable. SA0 on the AND output: faulty out = a|0 = a == good for
@@ -149,7 +151,8 @@ TEST(Podem, JustifyConditions) {
   const GateId g = f.add("NAND2X1", {a, b});
   f.nl.mark_primary_output(f.out(g));
   const CombView view = CombView::build(f.nl);
-  Podem podem(f.nl, view, {1000});
+  const DenseView dense = DenseView::build(f.nl, view);
+  Podem podem(dense, {1000});
   const CondLiteral want_zero[] = {{f.out(g), false, 0}};
   std::vector<V3> test;
   ASSERT_EQ(podem.justify(want_zero, &test), Podem::Outcome::Detected);
@@ -161,9 +164,14 @@ TEST(Podem, JustifyConditions) {
             Podem::Outcome::Undetectable);
 }
 
-/// PODEM vs exhaustive simulation on random circuits: for every stuck-at
-/// fault, PODEM's verdict must match brute-force enumeration of all
-/// source assignments.
+/// PODEM vs an independent oracle on random circuits with multi-output
+/// cells: for stuck-at faults and for faults conditioned on frame-1
+/// literals (bridge- and cell-aware-style aggressor conditions), PODEM's
+/// verdict must match exhaustive enumeration of all 2^5 source
+/// assignments, and every test it returns must detect the fault under
+/// every completion of its X bits. The oracle is a scalar two-machine
+/// evaluator written here: it shares no code with the ATPG engine or the
+/// fault simulators and calls eval_cell_v3 on definite values only.
 class PodemExhaustive : public ::testing::TestWithParam<int> {};
 
 TEST_P(PodemExhaustive, AgreesWithBruteForce) {
@@ -174,8 +182,10 @@ TEST_P(PodemExhaustive, AgreesWithBruteForce) {
   for (int i = 0; i < num_inputs; ++i) {
     nets.push_back(f.nl.add_primary_input());
   }
-  const char* kCells[] = {"INVX1",  "NAND2X1", "NOR2X1", "AND2X2",
-                          "OR2X2",  "XOR2X1",  "AOI21X1", "OAI21X1"};
+  const char* kCells[] = {"INVX1",  "NAND2X1", "NOR2X1",  "AND2X2",
+                          "OR2X2",  "XOR2X1",  "AOI21X1", "OAI21X1",
+                          "FAX1",   "HAX1"};
+  std::vector<GateId> gates;  // creation order is topological
   for (int i = 0; i < 25; ++i) {
     const CellId cell = lib()->require(kCells[rng.below(std::size(kCells))]);
     const CellSpec& spec = lib()->cell(cell);
@@ -184,62 +194,112 @@ TEST_P(PodemExhaustive, AgreesWithBruteForce) {
       fanins.push_back(nets[nets.size() - 1 - rng.below(
                                 std::min<std::size_t>(nets.size(), 10))]);
     }
-    nets.push_back(f.out(f.nl.add_gate(cell, fanins)));
+    gates.push_back(f.nl.add_gate(cell, fanins));
+    for (const NetId out : f.nl.gate(gates.back()).outputs) nets.push_back(out);
   }
   for (int i = 0; i < 4; ++i) {
     f.nl.mark_primary_output(nets[nets.size() - 1 - rng.below(6)]);
   }
 
   const CombView view = CombView::build(f.nl);
-  Podem podem(f.nl, view, {100000});
-  ParallelSimulator sim(f.nl, view);
+  ASSERT_EQ(view.sources.size(), static_cast<std::size_t>(num_inputs));
+  const DenseView dense = DenseView::build(f.nl, view);
+  Podem podem(dense, {100000});
 
-  // Brute force: all 32 assignments in lanes.
-  const auto brute_force_detects = [&](NetId victim, bool sa) {
+  // Net values of one machine under a definite source assignment; the
+  // faulty machine forces the victim once the literals hold on the good
+  // machine.
+  const auto simulate = [&](std::uint32_t assignment, const Excitation* exc,
+                            const std::vector<V3>* good) {
+    std::vector<V3> value(f.nl.net_capacity(), V3::X);
+    const auto force = [&](NetId n) {
+      if (exc == nullptr || n != exc->victim) return;
+      for (const CondLiteral& lit : exc->lits) {
+        if ((*good)[lit.net.value()] != v3_of(lit.value)) return;
+      }
+      value[n.value()] = v3_of(exc->faulty_value);
+    };
     for (std::size_t s = 0; s < view.sources.size(); ++s) {
-      std::uint64_t w = 0;
-      for (int lane = 0; lane < 32; ++lane) {
-        if ((lane >> s) & 1) w |= std::uint64_t{1} << lane;
-      }
-      sim.set_source(view.sources[s], w);
+      value[view.sources[s].value()] = v3_of((assignment >> s) & 1);
+      force(view.sources[s]);
     }
-    sim.run();
-    const std::uint64_t good = sim.value(victim);
-    // Faulty copy: flip victim where excited, propagate via FaultSim.
-    FaultSimulator fsim(f.nl, view);
-    std::vector<TestPattern> tests;
-    for (int lane = 0; lane < 32; ++lane) {
-      TestPattern t;
-      for (std::size_t s = 0; s < view.sources.size(); ++s) {
-        t.frame0.push_back((lane >> s) & 1);
-        t.frame1.push_back((lane >> s) & 1);
+    for (const GateId g : gates) {
+      const auto& gate = f.nl.gate(g);
+      std::vector<V3> ins;
+      for (const NetId in : gate.fanin) {
+        EXPECT_TRUE(is_definite(value[in.value()]));
+        ins.push_back(value[in.value()]);
       }
-      tests.push_back(std::move(t));
+      for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
+        value[gate.outputs[k].value()] =
+            eval_cell_v3(f.nl.cell_of(g), static_cast<int>(k), ins);
+        force(gate.outputs[k]);
+      }
     }
-    fsim.load(tests, 0, 32);
-    Excitation exc;
-    exc.victim = victim;
-    exc.faulty_value = sa;
-    const Excitation excs[] = {exc};
-    (void)good;
-    return fsim.detect_mask(excs) != 0;
+    return value;
+  };
+  const auto detects = [&](const Excitation& exc, std::uint32_t assignment) {
+    const std::vector<V3> good = simulate(assignment, nullptr, nullptr);
+    const std::vector<V3> faulty = simulate(assignment, &exc, &good);
+    for (const NetId po : f.nl.primary_outputs()) {
+      if (good[po.value()] != faulty[po.value()]) return true;
+    }
+    return false;
   };
 
   int checked = 0;
-  for (std::size_t i = 0; i < nets.size() && checked < 20; i += 3) {
+  int detected = 0;
+  int conditioned = 0;
+  for (std::size_t i = 0; i < nets.size() && checked < 80; i += 3) {
     const NetId victim = nets[i];
+    std::vector<Excitation> excitations;
     for (const bool sa : {false, true}) {
-      Excitation exc;
-      exc.victim = victim;
-      exc.faulty_value = sa;
-      const auto verdict = podem.detect(exc, nullptr);
+      excitations.push_back(Excitation{{}, victim, sa});
+    }
+    // Literals on nets created before the victim, which cannot lie in its
+    // fanout cone (as for a bridge aggressor or a cell-aware side input).
+    for (int c = 0; c < 2 && i > 0; ++c) {
+      Excitation exc{{}, victim, rng.flip()};
+      for (int l = 0; l <= c; ++l) {
+        exc.lits.push_back({nets[rng.below(i)], rng.flip(), 1});
+      }
+      excitations.push_back(std::move(exc));
+    }
+    for (const Excitation& exc : excitations) {
+      std::vector<V3> test;
+      const auto verdict = podem.detect(exc, &test);
       ASSERT_NE(verdict, Podem::Outcome::Aborted);
-      EXPECT_EQ(verdict == Podem::Outcome::Detected,
-                brute_force_detects(victim, sa))
-          << "net " << victim.value() << " sa" << sa;
+      bool any = false;
+      for (std::uint32_t a = 0; a < (1u << num_inputs); ++a) {
+        any = any || detects(exc, a);
+      }
+      EXPECT_EQ(verdict == Podem::Outcome::Detected, any)
+          << "net " << victim.value() << " faulty " << exc.faulty_value
+          << " lits " << exc.lits.size();
       ++checked;
+      conditioned += exc.lits.empty() ? 0 : 1;
+      if (verdict != Podem::Outcome::Detected) continue;
+      ++detected;
+      // Every completion of the test's X bits must detect the fault.
+      ASSERT_EQ(test.size(), view.sources.size());
+      std::uint32_t fixed = 0;
+      std::uint32_t free = 0;
+      for (std::size_t s = 0; s < test.size(); ++s) {
+        if (test[s] == V3::X) {
+          free |= 1u << s;
+        } else if (test[s] == V3::One) {
+          fixed |= 1u << s;
+        }
+      }
+      for (std::uint32_t a = 0; a < (1u << num_inputs); ++a) {
+        if ((a & ~free) != fixed) continue;
+        EXPECT_TRUE(detects(exc, a))
+            << "net " << victim.value() << " assignment " << a;
+      }
     }
   }
+  EXPECT_GT(detected, 0);
+  EXPECT_GT(conditioned, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PodemExhaustive, ::testing::Range(0, 8));
@@ -264,7 +324,8 @@ TEST(FaultSim, AgreesWithPodemTests) {
   for (int i = 0; i < 4; ++i) f.nl.mark_primary_output(nets[nets.size() - 1 - i]);
 
   const CombView view = CombView::build(f.nl);
-  Podem podem(f.nl, view, {20000});
+  const DenseView dense = DenseView::build(f.nl, view);
+  Podem podem(dense, {20000});
   FaultSimulator fsim(f.nl, view);
   int confirmed = 0;
   for (std::size_t i = 8; i < nets.size(); i += 2) {
@@ -628,6 +689,15 @@ TEST(FaultSim, BaselineOverlayMatchesFullLoad) {
       }
     }
   }
+}
+
+TEST(Engine, CoverageNeverCreditsAborts) {
+  AtpgResult r;
+  r.num_detected = 90;
+  r.num_undetectable = 4;
+  r.num_aborted = 6;
+  EXPECT_DOUBLE_EQ(r.coverage(100), 0.90);  // not 1 - 4/100
+  EXPECT_DOUBLE_EQ(AtpgResult{}.coverage(0), 1.0);
 }
 
 TEST(Engine, DuplicateFaultsMirrorRepresentative) {

@@ -338,7 +338,7 @@ TEST(RunReportTest, JsonRoundTripsThroughTheSyntaxChecker) {
 
   const std::string json = report.to_json();
   EXPECT_TRUE(is_valid_json(json));
-  EXPECT_NE(json.find("\"schema\":\"dfmres-run-report-v1\""),
+  EXPECT_NE(json.find("\"schema\":\"dfmres-run-report-v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"fingerprint\":\"deadbeefcafe1234\""),
             std::string::npos);
@@ -417,6 +417,9 @@ TEST(RunReportTest, DeadlineExpiryProducesPartialReport) {
   EXPECT_NE(json.find("\"deadline_expired\":true"), std::string::npos);
   EXPECT_NE(json.find("\"initial\""), std::string::npos);
   EXPECT_NE(json.find("\"final\""), std::string::npos);
+  // Every verdict is visible: the summaries carry aborted and detected.
+  EXPECT_NE(json.find("\"aborted\":"), std::string::npos);
+  EXPECT_NE(json.find("\"detected\":"), std::string::npos);
 }
 
 }  // namespace

@@ -446,9 +446,10 @@ void print_state(const char* label, const FlowState& s,
                  const FlowState* baseline) {
   const FlowState& ref = baseline ? *baseline : s;
   std::printf(
-      "%-8s F=%-6zu U=%-5zu cov=%6.2f%%  T=%-4zu Smax=%-5zu (%.2f%% of F)  "
-      "delay=%5.1f%% power=%5.1f%%\n",
-      label, s.num_faults(), s.num_undetectable(), 100.0 * s.coverage(),
+      "%-8s F=%-6zu U=%-5zu A=%-5zu cov=%6.2f%%  T=%-4zu Smax=%-5zu "
+      "(%.2f%% of F)  delay=%5.1f%% power=%5.1f%%\n",
+      label, s.num_faults(), s.num_undetectable(), s.atpg.num_aborted,
+      100.0 * s.coverage(),
       s.atpg.tests.size(), s.smax(), 100.0 * s.smax_fraction(),
       100.0 * s.timing.critical_delay / ref.timing.critical_delay,
       100.0 * s.timing.total_power() / ref.timing.total_power());
