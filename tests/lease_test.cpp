@@ -176,7 +176,11 @@ TEST(Lease, HeartbeatKeeperKeepsLeaseFreshAndTripsTokenOnTakeover) {
 
 TEST(Lease, FailedAttemptBacksOffThenRetriesWithPriorError) {
   const std::string root = make_lease_root("backoff");
-  const LeaseDir leases(root, fast_config("w1"));
+  // A window long enough that the in-window claim below cannot race its
+  // expiry, however loaded the machine.
+  LeaseConfig config = fast_config("w1");
+  config.backoff_base = std::chrono::milliseconds(500);
+  const LeaseDir leases(root, config);
   ASSERT_TRUE(leases.init().is_ok());
   const auto first = leases.try_claim("job");
   ASSERT_TRUE(first);
@@ -189,9 +193,15 @@ TEST(Lease, FailedAttemptBacksOffThenRetriesWithPriorError) {
   EXPECT_EQ(backoff->outcome, Outcome::Backoff);
   EXPECT_GT(backoff->wait_ns, 0u);
   // After the window: claimable at the next attempt, carrying the
-  // previous holder's error.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  const auto retry = leases.try_claim("job");
+  // previous holder's error. Poll, bounded, until the window closes.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto retry = leases.try_claim("job");
+  while (retry && retry->outcome == Outcome::Backoff &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    retry = leases.try_claim("job");
+  }
   ASSERT_TRUE(retry) << retry.status().to_string();
   EXPECT_EQ(retry->outcome, Outcome::Claimed);
   EXPECT_EQ(retry->attempt, 2);
