@@ -19,8 +19,9 @@ int main() {
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   BenchObservability obs("table1");
   std::printf("==== Table I: clustered undetectable DFM faults ====\n");
-  std::printf("%-10s %8s %8s %7s %7s %6s %6s %7s %9s\n", "Circuit", "F_In",
-              "F_Ex", "U_In", "U_Ex", "G_U", "Gmax", "Smax", "%Smax_U");
+  std::printf("%-10s %8s %8s %7s %7s %6s %6s %6s %7s %9s\n", "Circuit",
+              "F_In", "F_Ex", "U_In", "U_Ex", "A", "G_U", "Gmax", "Smax",
+              "%Smax_U");
 
   const auto circuits =
       selected_circuits({"aes_core", "des_perf", "sparc_exu", "sparc_fpu"});
@@ -34,12 +35,14 @@ int main() {
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    std::printf("%-10s %8zu %8zu %7zu %7zu %6zu %6zu %7zu %8.2f%%  (%.1fs)\n",
-                name.c_str(), s.f_in, s.f_ex, s.u_in, s.u_ex, s.g_u, s.gmax,
-                s.smax,
-                s.u == 0 ? 0.0 : 100.0 * static_cast<double>(s.smax) /
-                                     static_cast<double>(s.u),
-                elapsed);
+    std::printf(
+        "%-10s %8zu %8zu %7zu %7zu %6zu %6zu %6zu %7zu %8.2f%%  (%.1fs)\n",
+        name.c_str(), s.f_in, s.f_ex, s.u_in, s.u_ex, s.aborted, s.g_u, s.gmax,
+        s.smax,
+        s.u == 0 ? 0.0
+                 : 100.0 * static_cast<double>(s.smax) /
+                       static_cast<double>(s.u),
+        elapsed);
   }
   return 0;
 }

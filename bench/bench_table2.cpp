@@ -4,14 +4,15 @@
 // improves the coverage; plus the `average` rows.
 //
 // Columns follow the paper: Max Inc (q), F, U, Cov, T, Smax, %Smax_all,
-// Smax_I, %Smax_I, Delay, Power, Rtime. Expected shape: U drops by
+// Smax_I, %Smax_I, Delay, Power, Rtime — plus A, the faults ATPG aborted
+// on (no verdict: counted neither in U nor in Cov). Expected shape: U drops by
 // roughly an order of magnitude, coverage reaches ~99%, %Smax_all lands
 // near/below p1 = 1%, T barely changes, delay/power stay within the q
 // envelope, Rtime does not grow with circuit size.
 //
 // Besides the table, every run writes a machine-readable BENCH_resyn.json
-// (per-block wall times, aggregate ATPG counters, final U / coverage /
-// %Smax and the accepted-candidate trace). With DFMRES_BENCH_COLD=1 each
+// (per-block wall times, aggregate ATPG counters, initial and final U /
+// aborted / coverage, final %Smax and the accepted-candidate trace). With DFMRES_BENCH_COLD=1 each
 // block additionally runs in the cold-start reference configuration
 // (no seed replay / cone trust, no dedup, serial ladder); the bench then
 // verifies that final U, %Smax, coverage and the accepted-candidate
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "src/util/fmt.hpp"
 
 using namespace dfmres;
 using namespace dfmres::bench;
@@ -41,9 +43,10 @@ struct Row {
 
 void print_row(const char* circuit, const Row& r) {
   std::printf(
-      "%-10s %5s %8zu %6zu %7.2f%% %5zu %6zu %8.2f%% %7zu %8.2f%% %8.2f%% "
-      "%8.2f%% %7.2f\n",
-      circuit, r.inc.c_str(), r.s.f, r.s.u, 100.0 * r.s.coverage, r.s.tests,
+      "%-10s %5s %8zu %6zu %5zu %7.2f%% %5zu %6zu %8.2f%% %7zu %8.2f%% "
+      "%8.2f%% %8.2f%% %7.2f\n",
+      circuit, r.inc.c_str(), r.s.f, r.s.u, r.s.aborted, 100.0 * r.s.coverage,
+      r.s.tests,
       r.s.smax,
       r.s.f == 0 ? 0.0 : 100.0 * static_cast<double>(r.s.smax) /
                              static_cast<double>(r.s.f),
@@ -138,11 +141,12 @@ std::string json_escape(const std::string& s) {
 
 std::string block_json(const std::string& name, const char* mode,
                        const BlockRun& r) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
+  // strfmt sizes the buffer: the accepted trace has no length bound.
+  return strfmt(
       "{\"circuit\": \"%s\", \"mode\": \"%s\", \"flow_seconds\": %.3f, "
-      "\"resyn_seconds\": %.3f, \"q_used\": %d, \"final_u\": %zu, "
+      "\"resyn_seconds\": %.3f, \"q_used\": %d, \"initial_u\": %zu, "
+      "\"initial_aborted\": %zu, \"initial_coverage\": %.6f, "
+      "\"final_u\": %zu, \"final_aborted\": %zu, "
       "\"final_coverage\": %.6f, \"final_smax\": %zu, \"final_faults\": %zu, "
       "\"tests\": %zu, \"accepted\": \"%s\", "
       "\"candidates_built\": %zu, \"u_in_probes\": %zu, \"full_probes\": %zu, "
@@ -150,13 +154,14 @@ std::string block_json(const std::string& name, const char* mode,
       "\"u_in_seconds\": %.3f, \"probe_seconds\": %.3f, "
       "\"signoff_seconds\": %.3f, \"atpg\": ",
       name.c_str(), mode, r.flow_seconds, r.resyn_seconds, r.report.q_used,
-      r.resyn.u, r.resyn.coverage, r.resyn.smax, r.resyn.f, r.resyn.tests,
+      r.orig.u, r.orig.aborted, r.orig.coverage, r.resyn.u, r.resyn.aborted,
+      r.resyn.coverage, r.resyn.smax, r.resyn.f, r.resyn.tests,
       json_escape(accepted_trace(r.report)).c_str(),
       r.report.candidates_built, r.report.u_in_probes, r.report.full_probes,
       r.report.sig_hits, r.report.stash_commits, r.report.build_seconds,
       r.report.u_in_seconds, r.report.probe_seconds,
-      r.report.signoff_seconds);
-  return std::string(buf) + r.counters.json() + "}";
+      r.report.signoff_seconds) +
+         r.counters.json() + "}";
 }
 
 }  // namespace
@@ -166,8 +171,8 @@ int main() {
   BenchObservability obs("table2");
   const bool compare_cold = bench_cold_mode();
   std::printf("==== Table II: resynthesis results ====\n");
-  std::printf("%-10s %5s %8s %6s %8s %5s %6s %9s %7s %9s %9s %9s %7s\n",
-              "Circuit", "Inc", "F", "U", "Cov", "T", "Smax", "%Smax_all",
+  std::printf("%-10s %5s %8s %6s %5s %8s %5s %6s %9s %7s %9s %9s %9s %7s\n",
+              "Circuit", "Inc", "F", "U", "A", "Cov", "T", "Smax", "%Smax_all",
               "Smax_I", "%Smax_I", "Delay", "Power", "Rtime");
 
   const auto circuits = selected_circuits(
@@ -176,7 +181,7 @@ int main() {
        "sparc_fpu"});
 
   std::size_t count = 0;
-  double sum[2][7] = {};  // [orig/resyn][F U cov T smax delay power] sums
+  double sum[2][8] = {};  // [orig/resyn][F U cov T smax delay power A] sums
   std::vector<std::string> json_blocks;
   bool mismatch = false;
   double warm_total = 0.0, cold_total = 0.0;
@@ -262,6 +267,7 @@ int main() {
       sum[k][4] += static_cast<double>(rows[k]->s.smax);
       sum[k][5] += rows[k]->delay_rel;
       sum[k][6] += rows[k]->power_rel;
+      sum[k][7] += static_cast<double>(rows[k]->s.aborted);
     }
   }
 
@@ -270,10 +276,11 @@ int main() {
     std::printf("---- average over %zu circuits ----\n", count);
     for (int k = 0; k < 2; ++k) {
       std::printf(
-          "%-10s %5s %8.0f %6.0f %7.2f%% %5.0f %6.0f %9s %7s %9s %8.2f%% "
-          "%8.2f%%\n",
+          "%-10s %5s %8.0f %6.0f %5.0f %7.2f%% %5.0f %6.0f %9s %7s %9s "
+          "%8.2f%% %8.2f%%\n",
           k == 0 ? "average" : "", k == 0 ? "orig" : "resyn", sum[k][0] / n,
-          sum[k][1] / n, 100.0 * sum[k][2] / n, sum[k][3] / n, sum[k][4] / n,
+          sum[k][1] / n, sum[k][7] / n, 100.0 * sum[k][2] / n, sum[k][3] / n,
+          sum[k][4] / n,
           "-", "-", "-", 100.0 * sum[k][5] / n, 100.0 * sum[k][6] / n);
     }
   }

@@ -159,6 +159,7 @@ class BenchObservability {
 struct StateStats {
   std::size_t f = 0, f_in = 0, f_ex = 0;
   std::size_t u = 0, u_in = 0, u_ex = 0;
+  std::size_t aborted = 0;  ///< no verdict: neither in U nor covered
   std::size_t g_u = 0, gmax = 0, smax = 0, smax_internal = 0;
   std::size_t tests = 0;
   double coverage = 0, delay = 0, power = 0;
@@ -175,6 +176,7 @@ inline StateStats stats_of(const FlowState& s) {
                 s.atpg.status[i] == FaultStatus::Undetectable;
   }
   out.u_ex = out.u - out.u_in;
+  out.aborted = s.atpg.num_aborted;
   out.g_u = s.clusters.gates_u.size();
   out.gmax = s.clusters.gmax.size();
   out.smax = s.smax();
