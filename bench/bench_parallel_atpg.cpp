@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "src/sim/simd_dispatch.hpp"
 
 using namespace dfmres;
 using namespace dfmres::bench;
@@ -114,38 +113,6 @@ int main(int argc, char** argv) {
                 run.seconds, run.counters.summary().c_str());
   }
 
-  // Single-thread kernel comparison: scalar (historical 64-lane) versus
-  // the configured (auto-resolved wide SimWord) kernel. The two modes
-  // alternate within the same loop so process-lifetime drift on shared
-  // single-core hosts biases neither side; each takes its best rep.
-  const char* sim_kernel = simd_mode_name(resolve_simd_mode(global_simd_mode()));
-  double scalar_seconds = std::numeric_limits<double>::max();
-  double wide_seconds = std::numeric_limits<double>::max();
-  {
-    const SimdMode saved = global_simd_mode();
-    AtpgOptions options = base;
-    options.num_threads = 1;
-    for (int rep = 0; rep < 2 * repeats; ++rep) {
-      const bool scalar = rep % 2 == 0;
-      set_global_simd_mode(scalar ? SimdMode::kScalar : saved);
-      using Clock = std::chrono::steady_clock;
-      const auto t0 = Clock::now();
-      const AtpgResult result =
-          run_atpg(state.netlist, state.universe, flow.udfm(), options);
-      const double seconds =
-          std::chrono::duration<double>(Clock::now() - t0).count();
-      (scalar ? scalar_seconds : wide_seconds) =
-          std::min(scalar ? scalar_seconds : wide_seconds, seconds);
-      std::printf(
-          "  kernel-compare rep %d: %-9s %.3fs  phases %.3f/%.3f/%.3f/%.3fs\n",
-          rep, scalar ? "scalar" : sim_kernel, seconds,
-          result.counters.phase0_seconds, result.counters.phase1_seconds,
-          result.counters.phase2_seconds, result.counters.phase3_seconds);
-      if (result.status != reference) identical = false;
-    }
-    set_global_simd_mode(saved);
-  }
-
   const auto seconds_at = [&](int threads) {
     for (const Run& r : runs) {
       if (r.threads == threads) return r.seconds;
@@ -155,14 +122,10 @@ int main(int argc, char** argv) {
   const double base_s = seconds_at(1);
   const double par_s = seconds_at(4) > 0 ? seconds_at(4) : runs.back().seconds;
   const double speedup = par_s > 0 ? base_s / par_s : 0.0;
-  const double simd_speedup =
-      wide_seconds > 0 ? scalar_seconds / wide_seconds : 0.0;
-  std::printf("statuses bit-identical across thread counts and kernels: %s\n",
+  std::printf("statuses bit-identical across thread counts: %s\n",
               identical ? "yes" : "NO (BUG)");
   std::printf("speedup (1 -> %d threads): %.2fx\n", runs.back().threads,
               speedup);
-  std::printf("speedup (scalar -> %s kernel, 1 thread): %.2fx (%.3fs -> %.3fs)\n",
-              sim_kernel, simd_speedup, scalar_seconds, wide_seconds);
 
   std::ofstream json("BENCH_parallel_atpg.json");
   json << "{\n  \"bench\": \"parallel_atpg\",\n";
@@ -170,11 +133,7 @@ int main(int argc, char** argv) {
   json << "  \"faults\": " << state.num_faults() << ",\n";
   json << "  \"identical_statuses\": " << (identical ? "true" : "false")
        << ",\n";
-  json << "  \"speedup\": " << speedup << ",\n";
-  json << "  \"sim_kernel\": \"" << sim_kernel << "\",\n";
-  json << "  \"scalar_kernel_seconds\": " << scalar_seconds << ",\n";
-  json << "  \"wide_kernel_seconds\": " << wide_seconds << ",\n";
-  json << "  \"simd_speedup\": " << simd_speedup << ",\n  \"runs\": [\n";
+  json << "  \"speedup\": " << speedup << ",\n  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     json << "    {\"threads\": " << runs[i].threads
          << ", \"seconds\": " << runs[i].seconds

@@ -17,8 +17,7 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target warm_start_test core_test atpg_test overlay_test simd_kernel_test \
-  lease_test
+  --target warm_start_test core_test atpg_test overlay_test lease_test
 
 # Fail loudly on the first report from either sanitizer.
 SAN_ENV="halt_on_error=1 exitcode=66"
@@ -33,11 +32,6 @@ ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
 # overlay load/discard/rebase code paths.
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/overlay_test" --gtest_filter='-OverlayHeavy.*'
-# SimWord kernels: the W-sweep identity suite drives every portable
-# width (plus the ISA kernels on machines that have them) through the
-# load / overlay / detect paths, including the batch-tail lane masks.
-ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
-  "$BUILD_DIR/tests/simd_kernel_test" --gtest_filter='-SimdKernelHeavy.*'
 # Lease protocol + campaign workers: single-line JSON records, epoch
 # path arithmetic and the shard render/parse round-trip are exactly the
 # string/buffer handling ASan watches. The fork-heavy resume case runs

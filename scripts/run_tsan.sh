@@ -15,7 +15,7 @@ cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target atpg_test sim_test util_test observability_test campaign_test \
-  overlay_test simd_kernel_test lease_test ready_queue_test
+  overlay_test lease_test ready_queue_test
 
 # TSAN_OPTIONS: fail loudly, first report wins.
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
@@ -42,10 +42,6 @@ TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/campaign_test" \
 # small-block cases drive the same load/discard/rebase paths.
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/overlay_test" \
   --gtest_filter='-OverlayHeavy.*'
-# SimWord kernels: the engine-level identity tests run the parallel
-# sweep workers over wide shared good frames under every kernel mode.
-TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
-  "$BUILD_DIR/tests/simd_kernel_test" --gtest_filter='-SimdKernelHeavy.*'
 # Lease protocol: racing claim threads and the HeartbeatKeeper refresh
 # thread against the claim-scoped cancel token. The fork-based resume
 # case is excluded (fork + TSan runtime do not mix).

@@ -15,8 +15,7 @@ BUILD_DIR="${1:-build-ubsan}"
 cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target verilog_test netlist_test resilience_test simd_kernel_test \
-  atpg_test
+  --target verilog_test netlist_test resilience_test atpg_test
 
 # Fail loudly on the first report.
 SAN_ENV="halt_on_error=1 exitcode=66"
@@ -24,10 +23,5 @@ UBSAN_OPTIONS="$SAN_ENV" "$BUILD_DIR/tests/verilog_test"
 UBSAN_OPTIONS="$SAN_ENV" "$BUILD_DIR/tests/netlist_test"
 UBSAN_OPTIONS="$SAN_ENV" "$BUILD_DIR/tests/resilience_test"
 UBSAN_OPTIONS="$SAN_ENV" "$BUILD_DIR/tests/atpg_test"
-# The portable SimWord kernels lean on fixed-count loops and unaligned
-# uint64 loads; UBSan checks the shifts and pointer math across every
-# width, batch-tail shape included.
-UBSAN_OPTIONS="$SAN_ENV" \
-  "$BUILD_DIR/tests/simd_kernel_test" --gtest_filter='-SimdKernelHeavy.*'
 
 echo "UBSan: no reports."

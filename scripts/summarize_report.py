@@ -36,7 +36,6 @@ KNOWN_SCHEMAS = [
     "dfmres-request-v1",
     "dfmres-response-v1",
     "dfmres-bench-probe-overlay-v1",
-    "dfmres-bench-simd-kernel-v1",
     "dfmres-bench-serve-v1",
 ]
 
@@ -70,9 +69,6 @@ def summarize(path):
         return
     if schema == "dfmres-bench-probe-overlay-v1":
         summarize_probe_overlay(path, report)
-        return
-    if schema == "dfmres-bench-simd-kernel-v1":
-        summarize_simd_kernel(path, report)
         return
     if schema == "dfmres-bench-serve-v1":
         summarize_serve_saturation(path, report)
@@ -165,34 +161,6 @@ def summarize_probe_overlay(path, report):
     )
     if not report["identical"]:
         raise ValueError(f"{path}: overlay and full runs disagree")
-
-
-def summarize_simd_kernel(path, report):
-    """BENCH_simd_kernel.json: SimWord kernel throughput vs roofline."""
-    print(f"== {path}")
-    print(
-        f"   SimWord kernels on {report['gates']} gates x"
-        f" {report['patterns']} patterns x {report['excitations']} excitations:"
-        f" bit-identical={'yes' if report['identical_masks'] else 'NO'}"
-    )
-    triad = report["triad_gbs"]
-    print(f"   STREAM triad roofline: {triad:.2f} GB/s")
-    for run in report["runs"]:
-        pct = 100.0 * run["load_gbs"] / triad if triad > 0 else 0.0
-        print(
-            f"   {run['mode']:<9} -> {run['kernel']:<9} W={run['words']}"
-            f"  load {run['load_gbs']:5.2f} GB/s ({pct:3.0f}% of triad,"
-            f" {run['load_speedup_vs_scalar']:.2f}x)"
-            f"  detect {run['detect_lanes_per_sec'] / 1e6:7.1f}M lanes/s"
-            f" ({run['detect_speedup_vs_scalar']:.2f}x)"
-        )
-    print(
-        f"   auto kernel speedup vs scalar:"
-        f" load {report['auto_load_speedup']:.2f}x,"
-        f" detect {report['auto_detect_speedup']:.2f}x"
-    )
-    if not report["identical_masks"]:
-        raise ValueError(f"{path}: kernel masks diverge from scalar")
 
 
 def summarize_serve_saturation(path, report):

@@ -3,54 +3,181 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <limits>
 
-#include "src/atpg/fault_sim_kernel.hpp"
+#include "src/sim/eval_kernel.hpp"
 #include "src/util/trace.hpp"
 
 namespace dfmres {
 namespace {
 
+constexpr std::size_t kLanes = FaultSimulator::kLanes;
+
+// ---- SoA event heap ----
+// Min-heap on topological position with the gate slot riding along in a
+// parallel array: the sift compares touch only the position lane. Topo
+// positions are unique per gate, so the pop order is fully determined.
+
+void push_event(std::vector<std::uint32_t>& pos,
+                std::vector<std::uint32_t>& gate, std::uint32_t p,
+                std::uint32_t g) {
+  pos.push_back(p);
+  gate.push_back(g);
+  std::size_t i = pos.size() - 1;
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (pos[parent] <= pos[i]) break;
+    std::swap(pos[parent], pos[i]);
+    std::swap(gate[parent], gate[i]);
+    i = parent;
+  }
+}
+
+std::uint32_t pop_event(std::vector<std::uint32_t>& pos,
+                        std::vector<std::uint32_t>& gate) {
+  const std::uint32_t top = gate[0];
+  pos[0] = pos.back();
+  gate[0] = gate.back();
+  pos.pop_back();
+  gate.pop_back();
+  const std::size_t n = pos.size();
+  std::size_t i = 0;
+  while (true) {
+    const std::size_t l = 2 * i + 1;
+    const std::size_t r = l + 1;
+    std::size_t m = i;
+    if (l < n && pos[l] < pos[m]) m = l;
+    if (r < n && pos[r] < pos[m]) m = r;
+    if (m == i) break;
+    std::swap(pos[m], pos[i]);
+    std::swap(gate[m], gate[i]);
+    i = m;
+  }
+  return top;
+}
+
+// ---- good-machine evaluation ----
+
+/// Packs tests[first..first+lanes) into per-source lane words: lane L
+/// of the batch lands in bit L of the source's word.
+void pack_sources(const DenseView& v, std::span<const TestPattern> tests,
+                  std::size_t first, int lanes,
+                  std::vector<std::uint64_t>& src0,
+                  std::vector<std::uint64_t>& src1) {
+  const std::size_t num_sources = v.sources.size();
+  src0.assign(num_sources, 0);
+  src1.assign(num_sources, 0);
+  for (int lane = 0; lane < lanes; ++lane) {
+    const TestPattern& t = tests[first + static_cast<std::size_t>(lane)];
+    const std::uint64_t bit = std::uint64_t{1} << lane;
+    for (std::size_t s = 0; s < num_sources; ++s) {
+      if (t.frame0[s]) src0[s] |= bit;
+      if (t.frame1[s]) src1[s] |= bit;
+    }
+  }
+}
+
+/// Evaluates `gates` in the given (topological) order over both frames
+/// at once: each gate's CSR rows and cell metadata stream through the
+/// cache once and serve 128 pattern lanes in lock-step.
+void eval_gates(const DenseView& v, std::span<const std::uint32_t> gates,
+                std::uint64_t* f0, std::uint64_t* f1) {
+  std::uint64_t in0[kMaxCellInputs], in1[kMaxCellInputs];
+  for (std::uint32_t gs : gates) {
+    const CellSpec& cell = *v.cell[gs];
+    const std::uint32_t fb = v.fanin_offset[gs];
+    const std::size_t nin = v.fanin_offset[gs + 1] - fb;
+    for (std::size_t i = 0; i < nin; ++i) {
+      in0[i] = f0[v.fanin_net[fb + i]];
+      in1[i] = f1[v.fanin_net[fb + i]];
+    }
+    const std::uint32_t ob = v.output_offset[gs];
+    for (int k = 0; k < cell.num_outputs; ++k) {
+      const std::uint32_t out = v.output_net[ob + static_cast<std::uint32_t>(k)];
+      f0[out] = eval_cell_word(cell, k, in0, nin);
+      f1[out] = eval_cell_word(cell, k, in1, nin);
+    }
+  }
+}
+
+/// Full good-machine evaluation of BOTH frames in one fused topological
+/// pass. Slots never written (dead or undriven nets) keep their prior
+/// contents, so callers zero-fill once at rebind.
+void eval_frames(const DenseView& v, const std::uint64_t* src0,
+                 const std::uint64_t* src1, std::uint64_t* f0,
+                 std::uint64_t* f1) {
+  for (std::size_t s = 0; s < v.sources.size(); ++s) {
+    f0[v.sources[s]] = src0[s];
+    f1[v.sources[s]] = src1[s];
+  }
+  eval_gates(v, v.order, f0, f1);
+}
+
+/// Standalone batch simulation into GoodFrames (the baseline builder;
+/// no simulator instance involved).
+GoodFrames simulate_batch(const DenseView& dv,
+                          std::span<const TestPattern> patterns,
+                          std::size_t first, int lanes,
+                          std::vector<std::uint64_t>& src0,
+                          std::vector<std::uint64_t>& src1) {
+  GoodFrames out;
+  out.lanes = lanes;
+  out.good0.assign(dv.net_slots, 0);
+  out.good1.assign(dv.net_slots, 0);
+  pack_sources(dv, patterns, first, lanes, src0, src1);
+  eval_frames(dv, src0.data(), src1.data(), out.good0.data(),
+              out.good1.data());
+  return out;
+}
+
+/// Recomputes exactly the plan's dirty slots in place over full frame
+/// arrays (the rebase fold): zero the dirty slots, then evaluate the
+/// dirty gates in topological order. Clean inputs already hold correct
+/// values; dirty inputs were either written by an earlier dirty gate or
+/// are undriven and stay zero — the same contract a full load leaves
+/// behind.
+void refresh_dirty(const DenseView& v, const CowPlan& plan, std::uint64_t* f0,
+                   std::uint64_t* f1) {
+  for (std::uint32_t n : plan.dirty_nets) {
+    f0[n] = 0;
+    f1[n] = 0;
+  }
+  eval_gates(v, plan.dirty_gates, f0, f1);
+}
+
 SimBaseline build_baseline_over(std::shared_ptr<const DenseView> dv,
                                 std::span<const TestPattern> seeds,
                                 std::uint64_t random_seed,
                                 int random_batches) {
-  const fsim::KernelOps* ops = fsim::active_kernel_ops();
-  const std::size_t capacity = 64 * static_cast<std::size_t>(ops->words);
   SimBaseline out;
   out.num_patterns = seeds.size();
   out.frame_width = dv->sources.size();
   out.seeds_hash = seed_tests_hash(seeds);
-  out.words = ops->words;
   std::vector<std::uint64_t> src0, src1;
-  for (std::size_t first = 0; first < seeds.size(); first += capacity) {
-    const int lanes =
-        static_cast<int>(std::min<std::size_t>(seeds.size() - first, capacity));
-    GoodFrames gf;
-    ops->simulate_batch(*dv, seeds, first, lanes, &gf, src0, src1);
-    out.batches.push_back(std::move(gf));
-  }
+  const auto simulate_all = [&](std::span<const TestPattern> patterns,
+                                std::vector<GoodFrames>& batches) {
+    for (std::size_t first = 0; first < patterns.size(); first += kLanes) {
+      const int lanes = static_cast<int>(
+          std::min<std::size_t>(patterns.size() - first, kLanes));
+      batches.push_back(
+          simulate_batch(*dv, patterns, first, lanes, src0, src1));
+    }
+  };
+  simulate_all(seeds, out.batches);
   // Phase-1 random batches: draw exactly as the engine does (64 pattern
   // pairs per engine batch, frame0 then frame1) from a fresh rng at the
   // given seed — the draws are rng-sequential, so drawing every batch up
-  // front leaves the identical stream — then simulate them packed
-  // `words` engine batches per wide batch, matching the engine's own
-  // wide chunking.
+  // front leaves the identical stream — then simulate them one engine
+  // batch per stored batch.
   out.random_seed = random_seed;
   out.random_batch_count = random_batches;
   Rng rng(random_seed);
-  const std::size_t total = 64 * static_cast<std::size_t>(random_batches);
+  const std::size_t total = kLanes * static_cast<std::size_t>(random_batches);
   for (std::size_t i = 0; i < total; ++i) {
     out.random_patterns.push_back({random_sim_frame(out.frame_width, rng),
                                    random_sim_frame(out.frame_width, rng)});
   }
-  for (std::size_t first = 0; first < total; first += capacity) {
-    const int lanes =
-        static_cast<int>(std::min<std::size_t>(total - first, capacity));
-    GoodFrames gf;
-    ops->simulate_batch(*dv, out.random_patterns, first, lanes, &gf, src0,
-                        src1);
-    out.random_batches.push_back(std::move(gf));
-  }
+  simulate_all(out.random_patterns, out.random_batches);
   out.view = std::move(dv);
   return out;
 }
@@ -102,30 +229,25 @@ void rebase_sim_baseline(SimBaseline& base, const Netlist& nl,
   TraceSpan span("fsim.rebase", "fsim");
   const CombView view = CombView::build(nl);
   auto dv = DenseView::build_shared(nl, view);
-  const fsim::KernelOps* ops = fsim::active_kernel_ops();
   // The random patterns are a function of (seed, frame width), so an
   // unchanged width keeps them valid through a fold; a changed random
-  // configuration — or a changed SimWord width, which changes the frame
-  // layout itself — forces the full rebuild below.
+  // configuration forces the full rebuild below.
   if (base.valid() && base.seeds_hash == seed_tests_hash(seeds) &&
       base.num_patterns == seeds.size() &&
       base.frame_width == dv->sources.size() &&
       base.random_seed == random_seed &&
-      base.random_batch_count == random_batches &&
-      base.words == ops->words) {
+      base.random_batch_count == random_batches) {
     const CowPlan plan = build_cow_plan(*dv, *base.view);
     if (plan.valid) {
       if (span.active()) {
         span.arg("fold_dirty_nets", static_cast<int>(plan.dirty_nets.size()));
       }
-      const std::size_t slots =
-          static_cast<std::size_t>(dv->net_slots) * ops->words;
       const auto fold = [&](GoodFrames& gf) {
         // resize() zero-fills slots the old design did not have; the
         // plan marks all of them dirty anyway.
-        gf.good0.resize(slots, 0);
-        gf.good1.resize(slots, 0);
-        ops->refresh_dirty(*dv, plan, gf.good0.data(), gf.good1.data());
+        gf.good0.resize(dv->net_slots, 0);
+        gf.good1.resize(dv->net_slots, 0);
+        refresh_dirty(*dv, plan, gf.good0.data(), gf.good1.data());
       };
       for (GoodFrames& gf : base.batches) fold(gf);
       for (GoodFrames& gf : base.random_batches) fold(gf);
@@ -261,23 +383,18 @@ FaultSimulator::FaultSimulator(const Netlist& nl, const CombView& view)
 
 void FaultSimulator::rebind(std::shared_ptr<const DenseView> view) {
   view_ = std::move(view);
-  // The kernel is re-resolved per binding: a mode change between runs
-  // (or a DFMRES_SIMD override in a child tool) takes effect here, and
-  // every frame below is sized for the new kernel's W.
-  ops_ = fsim::active_kernel_ops();
   const std::size_t net_slots = view_->net_slots;
-  const std::size_t slots = net_slots * static_cast<std::size_t>(ops_->words);
   // assign() reuses capacity, so rebinding an arena slot to a
   // similar-sized netlist performs no allocation. Stamps must be zeroed
   // together with the epoch reset or stale stamps from a previous
   // binding could alias the restarted epoch numbers.
-  good0_.assign(slots, 0);
-  good1_.assign(slots, 0);
-  ov0_.assign(slots, 0);
-  ov1_.assign(slots, 0);
+  good0_.assign(net_slots, 0);
+  good1_.assign(net_slots, 0);
+  ov0_.assign(net_slots, 0);
+  ov1_.assign(net_slots, 0);
   ov_dirty_.assign(net_slots, 0);
   ov_dirty_list_.clear();
-  faulty_.assign(slots, 0);
+  faulty_.assign(net_slots, 0);
   stamp_.assign(net_slots, 0);
   epoch_ = 0;
   set_lanes(0);
@@ -305,12 +422,6 @@ void FaultSimulator::rebind(const Netlist& nl, const CombView& view) {
   rebind(DenseView::build_shared(nl, view));
 }
 
-int FaultSimulator::words() const { return ops_->words; }
-
-int FaultSimulator::lane_capacity() const { return 64 * ops_->words; }
-
-const char* FaultSimulator::kernel_name() const { return ops_->name; }
-
 void FaultSimulator::bind_own_frames() {
   g0_ = good0_.data();
   g1_ = good1_.data();
@@ -320,15 +431,9 @@ void FaultSimulator::bind_own_frames() {
 }
 
 void FaultSimulator::set_lanes(std::size_t count) {
-  lanes_ = static_cast<int>(
-      std::min<std::size_t>(count, static_cast<std::size_t>(lane_capacity())));
-  groups_ = (lanes_ + 63) / 64;
-  for (int g = 0; g < kMaxSimWords; ++g) {
-    const int rem = lanes_ - g * 64;
-    lane_mask_[g] = rem >= 64 ? ~std::uint64_t{0}
-                    : rem > 0 ? (std::uint64_t{1} << rem) - 1
-                              : 0;
-  }
+  lanes_ = static_cast<int>(std::min(count, kLanes));
+  lane_mask_ = lanes_ == 64 ? ~std::uint64_t{0}
+                            : (std::uint64_t{1} << lanes_) - 1;
 }
 
 void FaultSimulator::load(std::span<const TestPattern> tests,
@@ -339,11 +444,13 @@ void FaultSimulator::load(std::span<const TestPattern> tests,
   if (span.active()) span.arg("lanes", static_cast<int>(count));
   const auto t0 = std::chrono::steady_clock::now();
   set_lanes(count);
-  ops_->load(*this, tests, first, count);
+  pack_sources(*view_, tests, first, lanes_, src0_, src1_);
+  eval_frames(*view_, src0_.data(), src1_.data(), good0_.data(),
+              good1_.data());
+  bind_own_frames();
   patterns_simulated_ += 2 * static_cast<std::uint64_t>(lanes_);
   ++full_loads_;
   frame_bytes_materialized_ += 2 * sizeof(std::uint64_t) *
-                               static_cast<std::uint64_t>(ops_->words) *
                                static_cast<std::uint64_t>(view_->net_slots);
   load_seconds_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -353,12 +460,8 @@ void FaultSimulator::load(std::span<const TestPattern> tests,
 void FaultSimulator::load_from(const FaultSimulator& other) {
   // Zero-copy adoption: alias whatever frames `other` has bound (its own
   // arrays after a full load, or baseline + overlay after a CoW load).
-  // Frame layout is per-kernel, so the widths must agree; instances
-  // rebound under the same global mode (the sweep contract) always do.
-  assert(ops_->words == other.ops_->words);
   lanes_ = other.lanes_;
-  groups_ = other.groups_;
-  for (int g = 0; g < kMaxSimWords; ++g) lane_mask_[g] = other.lane_mask_[g];
+  lane_mask_ = other.lane_mask_;
   g0_ = other.g0_;
   g1_ = other.g1_;
   o0_ = other.o0_;
@@ -385,23 +488,199 @@ void FaultSimulator::load_overlay_frames(const GoodFrames& gf,
   if (span.active()) span.arg("lanes", static_cast<int>(count));
   const auto t0 = std::chrono::steady_clock::now();
   set_lanes(count);
-  ops_->load_overlay(*this, gf, plan, count);
+  const DenseView& v = *view_;
+  assert(gf.lanes == lanes_);
+  assert(plan.valid && plan.dirty.size() == v.net_slots);
+  g0_ = gf.good0.data();
+  g1_ = gf.good1.data();
+  o0_ = ov0_.data();
+  o1_ = ov1_.data();
+  // Undo the previous batch's marks instead of clearing O(netlist).
+  for (std::uint32_t n : ov_dirty_list_) ov_dirty_[n] = 0;
+  ov_dirty_list_.clear();
+  dirty_ = ov_dirty_.data();
+
+  // Event-driven replay with value cutoff: re-evaluate the edited gates,
+  // record an output slot only when its recomputed word differs from the
+  // baseline frames, and wake a reader only for recorded slots. For a
+  // function-preserving rewrite the wave dies at the region boundary, so
+  // the materialized slots track the edit, not its structural fanout
+  // cone. Soundness: a non-seed gate has identical pin rows in both
+  // designs, so if its input slots carry the baseline values its stored
+  // outputs are already correct.
+  const auto mark = [&](std::uint32_t n, std::uint64_t w0, std::uint64_t w1) {
+    if (!ov_dirty_[n]) {
+      ov_dirty_[n] = 1;
+      ov_dirty_list_.push_back(n);
+    }
+    ov0_[n] = w0;
+    ov1_[n] = w1;
+  };
+  event_pos_.clear();
+  event_gate_.clear();
+  touched_gates_.clear();
+  const auto schedule = [&](std::uint32_t gs) {
+    if (!scheduled_[gs]) {
+      scheduled_[gs] = 1;
+      touched_gates_.push_back(gs);
+      push_event(event_pos_, event_gate_, v.topo_pos[gs], gs);
+    }
+  };
+  // Slots the baseline frames cannot answer for start at 0 — the value a
+  // full load leaves in slots nothing writes — and wake their readers; a
+  // live driver (always a seed gate) overwrites them below.
+  for (std::uint32_t n : plan.seed_nets) {
+    mark(n, 0, 0);
+    for (std::uint32_t i = v.fanout_offset[n]; i < v.fanout_offset[n + 1];
+         ++i) {
+      schedule(v.fanout_gate[i]);
+    }
+  }
+  for (std::uint32_t gs : plan.seed_gates) schedule(gs);
+  std::uint64_t in0[kMaxCellInputs], in1[kMaxCellInputs];
+  while (!event_pos_.empty()) {
+    const std::uint32_t gs = pop_event(event_pos_, event_gate_);
+    const CellSpec& cell = *v.cell[gs];
+    const std::uint32_t fb = v.fanin_offset[gs];
+    const std::size_t nin = v.fanin_offset[gs + 1] - fb;
+    for (std::size_t i = 0; i < nin; ++i) {
+      in0[i] = g0(v.fanin_net[fb + i]);
+      in1[i] = g1(v.fanin_net[fb + i]);
+    }
+    const std::uint32_t ob = v.output_offset[gs];
+    for (int k = 0; k < cell.num_outputs; ++k) {
+      const std::uint32_t out = v.output_net[ob + static_cast<std::uint32_t>(k)];
+      const std::uint64_t w0 = eval_cell_word(cell, k, in0, nin);
+      const std::uint64_t w1 = eval_cell_word(cell, k, in1, nin);
+      if (ov_dirty_[out]) {
+        // Preset slot (no baseline value): store unconditionally; its
+        // readers were woken when it was preset.
+        ov0_[out] = w0;
+        ov1_[out] = w1;
+      } else if (w0 != g0_[out] || w1 != g1_[out]) {
+        mark(out, w0, w1);
+        for (std::uint32_t i = v.fanout_offset[out];
+             i < v.fanout_offset[out + 1]; ++i) {
+          schedule(v.fanout_gate[i]);
+        }
+      }
+      // else: bit-identical to the baseline — the wave stops here.
+    }
+  }
+  // Scheduled flags persist across the pop (each gate runs once); reset
+  // them for the detect queries that share the scratch.
+  for (std::uint32_t gs : touched_gates_) scheduled_[gs] = 0;
+  touched_gates_.clear();
+
   // Same pattern accounting as a full load: the batch's test frames are
   // (re)played against this design either way.
   patterns_simulated_ += 2 * static_cast<std::uint64_t>(lanes_);
   ++overlay_loads_;
   overlay_dirty_nets_ += ov_dirty_list_.size();
   frame_bytes_materialized_ +=
-      2 * sizeof(std::uint64_t) * static_cast<std::uint64_t>(ops_->words) *
+      2 * sizeof(std::uint64_t) *
       static_cast<std::uint64_t>(ov_dirty_list_.size());
   load_seconds_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 }
 
-void FaultSimulator::detect_masks(std::span<const Excitation> excitations,
-                                  std::uint64_t* out) {
-  ops_->detect(*this, excitations, out);
+std::uint64_t FaultSimulator::detect_mask(
+    std::span<const Excitation> excitations) {
+  if (cancel_expired(cancel_)) return 0;
+  ++detect_mask_calls_;
+  const DenseView& v = *view_;
+  std::uint64_t detected = 0;
+
+  for (const Excitation& exc : excitations) {
+    // Lanes where every condition literal holds and the victim's good
+    // value opposes the forced value.
+    std::uint64_t e = lane_mask_;
+    for (const CondLiteral& lit : exc.lits) {
+      const std::uint64_t val =
+          lit.frame == 0 ? g0(lit.net.value()) : g1(lit.net.value());
+      e = lit.value ? (e & val) : (e & ~val);
+      if (e == 0) break;
+    }
+    if (e == 0) continue;
+    const std::uint32_t victim = exc.victim.value();
+    const std::uint64_t victim_good = g1(victim);
+    e = exc.faulty_value ? (e & ~victim_good) : (e & victim_good);
+    if (e == 0) continue;
+
+    // Event-driven forward propagation of the flip (frame 1 only).
+    if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
+      // Epoch wraparound: a stale stamp equal to the restarted epoch
+      // would silently resurrect old faulty values, so clear the stamps
+      // before reusing epoch numbers.
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 0;
+    }
+    ++epoch_;
+    const auto fv_of = [&](std::uint32_t n) {
+      return stamp_[n] == epoch_ ? faulty_[n] : g1(n);
+    };
+    const auto set_fv = [&](std::uint32_t n, std::uint64_t val) {
+      faulty_[n] = val;
+      stamp_[n] = epoch_;
+      touched_nets_.push_back(n);
+      ++propagation_events_;
+    };
+    touched_nets_.clear();
+    set_fv(victim, (victim_good & ~e) | (exc.faulty_value ? e : 0));
+
+    // SoA min-heap of gates by topological position (reused buffers).
+    // Sinks come from the view's combinational fanout CSR, which already
+    // excludes sequential gates.
+    event_pos_.clear();
+    event_gate_.clear();
+    touched_gates_.clear();
+    const auto schedule_sinks = [&](std::uint32_t n) {
+      for (std::uint32_t i = v.fanout_offset[n]; i < v.fanout_offset[n + 1];
+           ++i) {
+        const std::uint32_t gs = v.fanout_gate[i];
+        if (!scheduled_[gs]) {
+          scheduled_[gs] = 1;
+          touched_gates_.push_back(gs);
+          push_event(event_pos_, event_gate_, v.topo_pos[gs], gs);
+        }
+      }
+    };
+    schedule_sinks(victim);
+    std::uint64_t ins[kMaxCellInputs];
+    while (!event_pos_.empty()) {
+      const std::uint32_t gs = pop_event(event_pos_, event_gate_);
+      const CellSpec& cell = *v.cell[gs];
+      const std::uint32_t fb = v.fanin_offset[gs];
+      const std::size_t nin = v.fanin_offset[gs + 1] - fb;
+      for (std::size_t i = 0; i < nin; ++i) ins[i] = fv_of(v.fanin_net[fb + i]);
+      const std::uint32_t ob = v.output_offset[gs];
+      for (int k = 0; k < cell.num_outputs; ++k) {
+        const std::uint32_t outn =
+            v.output_net[ob + static_cast<std::uint32_t>(k)];
+        const std::uint64_t nv = eval_cell_word(cell, k, ins, nin);
+        if (nv != fv_of(outn)) {
+          set_fv(outn, nv);
+          schedule_sinks(outn);
+        }
+      }
+    }
+    for (std::uint32_t gs : touched_gates_) scheduled_[gs] = 0;
+
+    // Detection at observation points: only nets stamped this epoch can
+    // disagree with the good machine, so scan the touched set instead of
+    // every observation point.
+    for (std::uint32_t ns : touched_nets_) {
+      if (v.observe_flag[ns]) detected |= (faulty_[ns] ^ g1(ns)) & e;
+    }
+    // The victim itself may be observed directly.
+    if (v.is_primary_output[victim]) {
+      detected |= (fv_of(victim) ^ victim_good) & e;
+    }
+    // Every active lane detected: later excitations cannot add bits.
+    if (detected == lane_mask_) break;
+  }
+  return detected & lane_mask_;
 }
 
 FaultSimulator& FaultSimArena::acquire(std::size_t index,

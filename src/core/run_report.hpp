@@ -59,8 +59,8 @@ class RunReport {
  private:
   std::string command_;
   std::string circuit_;
-  /// Fault-sim kernel resolved at construction time ("scalar", "avx2",
-  /// …) and its SimWord width W — pins which SIMD path produced the run.
+  /// Fault-sim kernel stamp (always "scalar") and its lane-word width in
+  /// 64-bit words (always 1), kept so report documents keep their shape.
   std::string sim_kernel_;
   int sim_words_ = 1;
   int threads_ = 0;

@@ -46,7 +46,6 @@ inline constexpr const char* kResponse = "dfmres-response-v1";
 
 inline constexpr const char* kBenchProbeOverlay =
     "dfmres-bench-probe-overlay-v1";
-inline constexpr const char* kBenchSimdKernel = "dfmres-bench-simd-kernel-v1";
 /// Saturation bench: submit->done latency percentiles vs offered load.
 inline constexpr const char* kBenchServe = "dfmres-bench-serve-v1";
 
@@ -55,8 +54,7 @@ inline constexpr const char* kAll[] = {
     kCampaignManifest, kCampaignReport,    kCampaignShard,
     kRunReport,        kRunReportV2,       kLease,
     kTelemetry,        kStatus,            kRequest,
-    kResponse,         kBenchProbeOverlay, kBenchSimdKernel,
-    kBenchServe,
+    kResponse,         kBenchProbeOverlay, kBenchServe,
 };
 
 [[nodiscard]] inline constexpr bool is_registered(std::string_view schema) {

@@ -2,15 +2,8 @@
 
 // THE cell word-evaluation kernel, shared by every bit-parallel
 // simulator in the tree (ParallelSimulator's good-machine wave, the
-// FaultSimulator load/overlay/propagation kernels, the double-fault
-// pair simulator). Header-only and templated on the lane word so one
-// body serves the scalar uint64_t path and every WideWord width — the
-// two hand-maintained copies that used to live in parallel_sim.cpp and
-// fault_sim.cpp are gone.
-//
-// A Word is anything with &, |, ^, ~ and a WordTraits<Word>::ones();
-// std::uint64_t qualifies via the trait specialization below, so legacy
-// 64-lane callers keep their exact code shape (and codegen).
+// FaultSimulator load/overlay/propagation paths, the double-fault pair
+// simulator): 64 pattern lanes per std::uint64_t word.
 
 #include <cstddef>
 #include <cstdint>
@@ -19,37 +12,23 @@
 
 namespace dfmres {
 
-template <class Word>
-struct WordTraits {
-  [[nodiscard]] static Word ones() { return Word::ones(); }
-  [[nodiscard]] static Word zero() { return Word::zero(); }
-};
-
-template <>
-struct WordTraits<std::uint64_t> {
-  [[nodiscard]] static std::uint64_t ones() { return ~std::uint64_t{0}; }
-  [[nodiscard]] static std::uint64_t zero() { return 0; }
-};
-
 /// Evaluates one cell output from packed input lane words: sum over the
 /// truth table's minterms of the AND of each input (or its complement).
-/// Bit-exact across widths — lane L of the result depends only on lane L
-/// of each input, so a W-wide evaluation equals W independent 64-lane
-/// evaluations laid side by side.
-template <class Word>
-[[nodiscard]] inline Word eval_cell_word(const CellSpec& cell, int output,
-                                         const Word* inputs,
-                                         std::size_t num_inputs) {
+/// Lane L of the result depends only on lane L of each input.
+[[nodiscard]] inline std::uint64_t eval_cell_word(const CellSpec& cell,
+                                                  int output,
+                                                  const std::uint64_t* inputs,
+                                                  std::size_t num_inputs) {
   const std::uint64_t tt = cell.truth(output);
   const auto num_minterms = std::uint32_t{1} << num_inputs;
-  Word out = WordTraits<Word>::zero();
+  std::uint64_t out = 0;
   for (std::uint32_t m = 0; m < num_minterms; ++m) {
     if (((tt >> m) & 1u) == 0) continue;
-    Word term = WordTraits<Word>::ones();
+    std::uint64_t term = ~std::uint64_t{0};
     for (std::uint32_t i = 0; i < num_inputs; ++i) {
-      term = term & (((m >> i) & 1u) ? inputs[i] : ~inputs[i]);
+      term &= ((m >> i) & 1u) ? inputs[i] : ~inputs[i];
     }
-    out = out | term;
+    out |= term;
   }
   return out;
 }

@@ -20,10 +20,8 @@ void ParallelSimulator::randomize_sources(Rng& rng) {
 std::uint64_t ParallelSimulator::eval_cell(
     const CellSpec& cell, int output, std::span<const std::uint64_t> inputs) {
   assert(inputs.size() == cell.num_inputs);
-  // Thin wrapper over the shared width-generic kernel (eval_kernel.hpp):
-  // uint64_t is the W = 1 lane word.
-  return eval_cell_word<std::uint64_t>(cell, output, inputs.data(),
-                                       inputs.size());
+  // Thin wrapper over the shared kernel (eval_kernel.hpp).
+  return eval_cell_word(cell, output, inputs.data(), inputs.size());
 }
 
 void ParallelSimulator::run() {

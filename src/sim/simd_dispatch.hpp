@@ -1,53 +1,17 @@
 #pragma once
 
-// Runtime selection of the fault-simulation lane-word kernel: one binary
-// carries the portable W ∈ {1, 4, 8} kernels plus AVX2/AVX-512
-// specializations compiled in their own -m-flagged translation units,
-// and picks at run time based on cpuid (or an explicit --simd= request).
-//
-// The selected mode changes ONLY throughput. Results are bit-identical
-// per 64-lane group across every mode — the W-sweep identity suite
-// (tests/simd_kernel_test) and the overlay/warm-start fingerprints pin
-// that contract.
-
-#include <optional>
-#include <string_view>
+// The fault-simulation kernel, stated for run reports and benchmarks:
+// one 64-lane std::uint64_t kernel (src/atpg/fault_sim.cpp), so the
+// stamp is always "scalar" with a width of one word.
 
 namespace dfmres {
 
-enum class SimdMode {
-  kAuto = 0,   ///< widest kernel this CPU supports (the default)
-  kScalar,     ///< PortableWord<1>: the historical 64-lane kernel
-  kPortable4,  ///< PortableWord<4>: 256 lanes, auto-vectorized
-  kPortable8,  ///< PortableWord<8>: 512 lanes, auto-vectorized
-  kAvx2,       ///< Avx2Word: 256 lanes of vpand/vpor intrinsics
-  kAvx512,     ///< Avx512Word: 512 lanes of zmm intrinsics
-};
+enum class SimdMode { kScalar };
 
-/// Flag spelling used by --simd= and the DFMRES_SIMD environment
-/// variable: auto | scalar | portable4 | portable8 | avx2 | avx512.
-[[nodiscard]] std::optional<SimdMode> parse_simd_mode(std::string_view text);
-[[nodiscard]] const char* simd_mode_name(SimdMode mode);
-
-/// CPUID feature checks (false on non-x86 builds).
-[[nodiscard]] bool cpu_supports_avx2();
-[[nodiscard]] bool cpu_supports_avx512();
-
-/// Maps a requested mode to one this build + CPU can actually run:
-/// kAuto picks the widest available ISA kernel (avx512 → avx2 →
-/// portable4); an explicitly requested ISA kernel that is unsupported
-/// (CPU lacks it, or the compiler could not build it) degrades to the
-/// portable kernel of the same width. Never returns kAuto.
-[[nodiscard]] SimdMode resolve_simd_mode(SimdMode requested);
-
-/// Process-wide kernel request. Defaults to the DFMRES_SIMD environment
-/// variable when set (unparseable values fall back to auto), else auto.
-/// Simulators read this at rebind time, so a mode set between runs
-/// applies to the next run; never change it while a run is in flight.
-void set_global_simd_mode(SimdMode mode);
-[[nodiscard]] SimdMode global_simd_mode();
-
-/// Lane-group width (in 64-bit words) of a resolved mode.
-[[nodiscard]] int simd_mode_words(SimdMode resolved);
+[[nodiscard]] constexpr SimdMode global_simd_mode() { return SimdMode::kScalar; }
+[[nodiscard]] constexpr SimdMode resolve_simd_mode(SimdMode mode) { return mode; }
+[[nodiscard]] constexpr const char* simd_mode_name(SimdMode) { return "scalar"; }
+/// Lane-group width of the kernel, in 64-bit words.
+[[nodiscard]] constexpr int simd_mode_words(SimdMode) { return 1; }
 
 }  // namespace dfmres

@@ -69,7 +69,7 @@ struct AtpgCounters {
   double phase2_seconds = 0.0;            ///< PODEM + per-test drop sweeps
   double phase3_seconds = 0.0;            ///< reverse-order compaction
   int threads_used = 1;                   ///< resolved worker lane count
-  int sim_words = 1;                      ///< SimWord width W of the kernel
+  int sim_words = 1;                      ///< kernel lane words (always 1)
 
   void merge(const AtpgCounters& other);
   [[nodiscard]] double total_seconds() const {

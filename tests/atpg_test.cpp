@@ -13,6 +13,7 @@
 #include "src/dfm/checker.hpp"
 #include "src/library/osu018.hpp"
 #include "src/sim/parallel_sim.hpp"
+#include "src/sim/simd_dispatch.hpp"
 #include "src/synth/mapper.hpp"
 #include "src/util/rng.hpp"
 
@@ -432,6 +433,54 @@ TEST(FaultSim, LaneMaskUnderSixtyFourLanes) {
   fsim.load(tests, 1, 1);
   EXPECT_EQ(fsim.lanes(), 1);
   EXPECT_EQ(fsim.detect_mask(excs), 0u);
+
+  // Tail shapes around the word boundary, against ground truth: with
+  // both inputs of test i at (i even), output SA0 is detected exactly on
+  // the even lanes and SA1 on the odd ones. Lanes past the loaded tail
+  // pack 0 inputs, where SA1 would fire if the lane mask leaked. 65
+  // tests load as a full word plus a one-lane batch.
+  std::vector<TestPattern> alternating(65);
+  for (std::size_t i = 0; i < alternating.size(); ++i) {
+    const std::uint8_t v = i % 2 == 0;
+    alternating[i].frame0 = {v, v};
+    alternating[i].frame1 = {v, v};
+  }
+  Excitation sa1 = exc;
+  sa1.faulty_value = true;
+  const Excitation sa1_excs[] = {sa1};
+  const auto low_bits = [](std::size_t n) {
+    return n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+  };
+  const std::pair<std::size_t, std::size_t> kLoads[] = {
+      {0, 63}, {0, 64}, {64, 1}};
+  for (const auto& [first, count] : kLoads) {
+    fsim.load(alternating, first, count);
+    ASSERT_EQ(fsim.lanes(), static_cast<int>(count));
+    EXPECT_EQ(fsim.detect_mask(excs), 0x5555555555555555ULL & low_bits(count))
+        << "first " << first << " count " << count;
+    EXPECT_EQ(fsim.detect_mask(sa1_excs),
+              0xAAAAAAAAAAAAAAAAULL & low_bits(count))
+        << "first " << first << " count " << count;
+  }
+}
+
+TEST(SimdDispatch, SimulatorReportsResolvedKernel) {
+  // The one kernel is the 64-lane word; run reports and AtpgCounters
+  // stamp it as "scalar" with a width of one word.
+  const SimdMode kernel = resolve_simd_mode(global_simd_mode());
+  EXPECT_STREQ(simd_mode_name(kernel), "scalar");
+  EXPECT_EQ(simd_mode_words(kernel), 1);
+  EXPECT_EQ(FaultSimulator::kLanes,
+            64 * static_cast<std::size_t>(simd_mode_words(kernel)));
+
+  Fixture f;
+  const NetId a = f.nl.add_primary_input();
+  const GateId g = f.add("INVX1", {a});
+  f.nl.mark_primary_output(f.out(g));
+  UdfmMap udfm(*lib());
+  const FaultUniverse universe = extract_internal_faults(f.nl, udfm);
+  const AtpgResult r = run_atpg(f.nl, universe, udfm, AtpgOptions{});
+  EXPECT_EQ(r.counters.sim_words, simd_mode_words(kernel));
 }
 
 TEST(FaultSim, LoadFromMatchesLoad) {
@@ -590,8 +639,7 @@ TEST(FaultSim, BaselineOverlayMatchesFullLoad) {
   }
   const SimBaseline base = build_sim_baseline(f.nl, seeds);
   ASSERT_TRUE(base.valid());
-  // Batches pack 64 * W lanes under the active SimWord kernel.
-  const std::size_t cap = 64 * static_cast<std::size_t>(base.words);
+  const std::size_t cap = FaultSimulator::kLanes;
   ASSERT_EQ(base.batches.size(), (seeds.size() + cap - 1) / cap);
 
   // Candidate: the committed design plus a small appended cone — its new
@@ -625,21 +673,14 @@ TEST(FaultSim, BaselineOverlayMatchesFullLoad) {
     overlay_sim.load_baseline(base, plan, b, count);
     full_sim.load(seeds, b * cap, count);
     ASSERT_EQ(overlay_sim.lanes(), full_sim.lanes());
-    ASSERT_EQ(overlay_sim.groups(), full_sim.groups());
     for (const NetId net : cand_nets) {
       for (const bool sa : {false, true}) {
         Excitation exc;
         exc.victim = net;
         exc.faulty_value = sa;
         const Excitation excs[] = {exc};
-        std::uint64_t om[kMaxSimWords] = {};
-        std::uint64_t fm[kMaxSimWords] = {};
-        overlay_sim.detect_masks(excs, om);
-        full_sim.detect_masks(excs, fm);
-        for (int g = 0; g < overlay_sim.groups(); ++g) {
-          ASSERT_EQ(om[g], fm[g]) << "batch " << b << " group " << g
-                                  << " net " << net.value() << " sa" << sa;
-        }
+        ASSERT_EQ(overlay_sim.detect_mask(excs), full_sim.detect_mask(excs))
+            << "batch " << b << " net " << net.value() << " sa" << sa;
       }
     }
   }
@@ -678,14 +719,9 @@ TEST(FaultSim, BaselineOverlayMatchesFullLoad) {
         exc.victim = net;
         exc.faulty_value = sa;
         const Excitation excs[] = {exc};
-        std::uint64_t om[kMaxSimWords] = {};
-        std::uint64_t fm[kMaxSimWords] = {};
-        roverlay_sim.detect_masks(excs, om);
-        rfull_sim.detect_masks(excs, fm);
-        for (int g = 0; g < roverlay_sim.groups(); ++g) {
-          ASSERT_EQ(om[g], fm[g]) << "random batch " << b << " group " << g
-                                  << " net " << net.value() << " sa" << sa;
-        }
+        ASSERT_EQ(roverlay_sim.detect_mask(excs),
+                  rfull_sim.detect_mask(excs))
+            << "random batch " << b << " net " << net.value() << " sa" << sa;
       }
     }
   }

@@ -79,7 +79,6 @@
 #include "src/library/osu018.hpp"
 #include "src/netlist/stats.hpp"
 #include "src/netlist/verilog.hpp"
-#include "src/sim/simd_dispatch.hpp"
 #include "src/synth/mapper.hpp"
 #include "src/util/fsio.hpp"
 #include "src/util/json.hpp"
@@ -175,25 +174,6 @@ struct CommonRunFlags {
     if (take("--trace-out", &trace_out) ||
         take("--metrics-out", &metrics_out) ||
         take("--report-out", &report_out)) {
-      return true;
-    }
-    // --simd MODE / --simd=MODE: pin the fault-simulation kernel for
-    // this process (default: auto = widest this CPU supports). Applied
-    // immediately so everything downstream — including the run report's
-    // kernel stamp — sees the requested mode.
-    std::string simd;
-    if (take("--simd", &simd) ||
-        (!std::strncmp(argv[*i], "--simd=", 7) && (simd = argv[*i] + 7, true))) {
-      const auto mode = parse_simd_mode(simd);
-      if (!mode) {
-        std::fprintf(stderr,
-                     "--simd: unknown mode '%s' (want auto|scalar|portable4|"
-                     "portable8|avx2|avx512)\n",
-                     simd.c_str());
-        failed = true;
-      } else {
-        set_global_simd_mode(*mode);
-      }
       return true;
     }
     if (!with_robustness_) return false;
@@ -367,10 +347,6 @@ int usage() {
                "instead of stdout\n"
                "  --threads N: fault-simulation worker lanes "
                "(0 = hardware, 1 = serial; results are identical)\n"
-               "  --simd M: fault-simulation kernel: auto|scalar|portable4|"
-               "portable8|avx2|avx512 (default auto = widest\n"
-               "                  this CPU runs; every mode is bit-identical "
-               "per 64-lane group, only throughput moves)\n"
                "  --cold: disable warm-start ATPG, candidate dedup and the "
                "parallel ladder (reference mode; same results, slower)\n"
                "  --deadline D: stop searching after D (e.g. 500ms, 30s, "
