@@ -433,12 +433,27 @@ TEST(FaultSim, LaneMaskUnderSixtyFourLanes) {
   fsim.load(tests, 1, 1);
   EXPECT_EQ(fsim.lanes(), 1);
   EXPECT_EQ(fsim.detect_mask(excs), 0u);
+}
 
-  // Tail shapes around the word boundary, against ground truth: with
-  // both inputs of test i at (i even), output SA0 is detected exactly on
-  // the even lanes and SA1 on the odd ones. Lanes past the loaded tail
-  // pack 0 inputs, where SA1 would fire if the lane mask leaked. 65
-  // tests load as a full word plus a one-lane batch.
+TEST(SimdKernel, TailLanesExactMaskEveryMode) {
+  // Tail shapes around the word boundary of the one 64-lane kernel,
+  // against ground truth: with both inputs of test i at (i even), AND
+  // output SA0 is detected exactly on the even lanes and SA1 on the odd
+  // ones. Lanes past the loaded tail pack 0 inputs, where SA1 would fire
+  // if the lane mask leaked. 65 tests load as a full word plus a
+  // one-lane batch.
+  Fixture f;
+  const NetId a = f.nl.add_primary_input();
+  const NetId b = f.nl.add_primary_input();
+  const GateId g = f.add("AND2X2", {a, b});
+  f.nl.mark_primary_output(f.out(g));
+  const CombView view = CombView::build(f.nl);
+  FaultSimulator fsim(f.nl, view);
+
+  Excitation exc;
+  exc.victim = f.out(g);
+  exc.faulty_value = false;
+  const Excitation excs[] = {exc};
   std::vector<TestPattern> alternating(65);
   for (std::size_t i = 0; i < alternating.size(); ++i) {
     const std::uint8_t v = i % 2 == 0;
@@ -452,7 +467,7 @@ TEST(FaultSim, LaneMaskUnderSixtyFourLanes) {
     return n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
   };
   const std::pair<std::size_t, std::size_t> kLoads[] = {
-      {0, 63}, {0, 64}, {64, 1}};
+      {0, 1}, {0, 63}, {0, 64}, {64, 1}};
   for (const auto& [first, count] : kLoads) {
     fsim.load(alternating, first, count);
     ASSERT_EQ(fsim.lanes(), static_cast<int>(count));
