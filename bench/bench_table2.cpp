@@ -150,7 +150,8 @@ std::string block_json(const std::string& name, const char* mode,
       "\"final_coverage\": %.6f, \"final_smax\": %zu, \"final_faults\": %zu, "
       "\"tests\": %zu, \"accepted\": \"%s\", "
       "\"candidates_built\": %zu, \"u_in_probes\": %zu, \"full_probes\": %zu, "
-      "\"sig_hits\": %zu, \"stash_commits\": %zu, \"build_seconds\": %.3f, "
+      "\"sig_hits\": %zu, \"stash_commits\": %zu, \"stash_fallbacks\": %zu, "
+      "\"build_seconds\": %.3f, "
       "\"u_in_seconds\": %.3f, \"probe_seconds\": %.3f, "
       "\"signoff_seconds\": %.3f, \"atpg\": ",
       name.c_str(), mode, r.flow_seconds, r.resyn_seconds, r.report.q_used,
@@ -158,8 +159,8 @@ std::string block_json(const std::string& name, const char* mode,
       r.resyn.coverage, r.resyn.smax, r.resyn.f, r.resyn.tests,
       json_escape(accepted_trace(r.report)).c_str(),
       r.report.candidates_built, r.report.u_in_probes, r.report.full_probes,
-      r.report.sig_hits, r.report.stash_commits, r.report.build_seconds,
-      r.report.u_in_seconds, r.report.probe_seconds,
+      r.report.sig_hits, r.report.stash_commits, r.report.stash_fallbacks,
+      r.report.build_seconds, r.report.u_in_seconds, r.report.probe_seconds,
       r.report.signoff_seconds) +
          r.counters.json() + "}";
 }
@@ -220,13 +221,13 @@ int main() {
     print_row("", resyn);
     std::printf("  %s\n", warm.counters.summary().c_str());
     std::printf("  loop: %zu built (%.2fs), %zu u_in probes (%.2fs), "
-                "%zu full probes (%.2fs), %zu sig hits, %zu stash commits, "
-                "signoff %.2fs\n",
+                "%zu full probes (%.2fs), %zu sig hits, %zu stash commits "
+                "(%zu fallbacks), signoff %.2fs\n",
                 warm.report.candidates_built, warm.report.build_seconds,
                 warm.report.u_in_probes, warm.report.u_in_seconds,
                 warm.report.full_probes, warm.report.probe_seconds,
                 warm.report.sig_hits, warm.report.stash_commits,
-                warm.report.signoff_seconds);
+                warm.report.stash_fallbacks, warm.report.signoff_seconds);
     json_blocks.push_back(block_json(name, "warm", warm));
 
     if (compare_cold) {

@@ -290,6 +290,19 @@ print(f"probe overlay gate: bit-identical, {ratio:.1f}x fewer bytes/probe")
 EOF
 python3 scripts/summarize_report.py "$OVL_DIR/BENCH_probe_overlay_compare.json"
 
+# Complete-verdict gate: with the SAT miter behind PODEM's aborts, no
+# fault of the abort-heavy blocks may end without a verdict. Each flow
+# summary line must show A=0.
+for blk in sparc_ffu aes_core; do
+  line=$("$BUILD_DIR/tools/dfmres" flow "$blk" | grep '^flow ')
+  echo "$blk: $line"
+  case "$line" in
+    *" A=0 "*) ;;
+    *) echo "check.sh: $blk left faults aborted: $line" >&2; exit 1 ;;
+  esac
+done
+echo "complete-verdict gate: A=0 on sparc_ffu and aes_core"
+
 scripts/run_tsan.sh
 scripts/run_asan.sh
 scripts/run_ubsan.sh

@@ -288,6 +288,8 @@ def summarize_run(report, indent=""):
             f"   atpg: {atpg['patterns_simulated']} patterns, "
             f"{atpg['detect_mask_calls']} detect_mask calls, "
             f"{atpg['podem_backtracks']} backtracks, "
+            f"{atpg.get('sat_calls', 0)} sat calls "
+            f"({atpg.get('sat_conflicts', 0)} conflicts), "
             f"phases {atpg['phase0_seconds']:.2f}/"
             f"{atpg['phase1_seconds']:.2f}/{atpg['phase2_seconds']:.2f}/"
             f"{atpg['phase3_seconds']:.2f}s"

@@ -6,7 +6,9 @@
 #include <memory>
 #include <optional>
 
+#include "src/atpg/sat.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/status.hpp"
 #include "src/util/thread_pool.hpp"
 #include "src/util/trace.hpp"
 
@@ -40,6 +42,102 @@ std::vector<std::uint8_t> concretize(std::span<const V3> assign, Rng& rng) {
 std::vector<std::uint8_t> random_frame(std::size_t n, Rng& rng) {
   return random_sim_frame(n, rng);
 }
+
+/// Phase-2 classification of one target fault: PODEM at the run's
+/// backtrack budget first, then the SAT miter for every frame-0
+/// justification or frame-1 detection PODEM aborts. Verdicts therefore
+/// do not depend on the budget; only cancellation leaves a target
+/// Aborted.
+class TargetClassifier {
+ public:
+  struct Verdict {
+    FaultStatus status = FaultStatus::Unknown;
+    bool by_sat = false;         ///< part of the test is a SAT model
+    std::vector<V3> assign0;     ///< frame-0 cube (empty: none needed)
+    std::vector<V3> assign1;     ///< detection frame (X = free)
+  };
+
+  TargetClassifier(const DenseView& dense, const AtpgOptions& options)
+      : podem_(dense, {options.backtrack_limit, options.cancel}),
+        sat_(dense),
+        cancel_(options.cancel) {}
+
+  void classify(std::span<const Excitation> excitations, Verdict& v) {
+    bool any_aborted = false;
+    for (const Excitation& exc : excitations) {
+      v.by_sat = false;
+      // Frame-0 cube first: an unjustifiable initialization kills the
+      // whole excitation.
+      frame0_.clear();
+      for (const CondLiteral& lit : exc.lits) {
+        if (lit.frame == 0) frame0_.push_back(lit);
+      }
+      v.assign0.clear();
+      if (!frame0_.empty()) {
+        auto r = podem_.justify(frame0_, &v.assign0);
+        if (r == Podem::Outcome::Aborted) {
+          v.by_sat = true;
+          r = solve([&] {
+            return sat_.justify(podem_.graph(), frame0_, &v.assign0, cancel_);
+          });
+        }
+        if (r == Podem::Outcome::Undetectable) continue;
+        if (r == Podem::Outcome::Aborted) {
+          any_aborted = true;
+          continue;
+        }
+      }
+      auto r = podem_.detect(exc, &v.assign1);
+      if (r == Podem::Outcome::Aborted) {
+        v.by_sat = true;
+        r = solve([&] {
+          return sat_.detect(podem_.graph(), exc, &v.assign1, cancel_);
+        });
+      }
+      if (r == Podem::Outcome::Aborted) {
+        any_aborted = true;
+        continue;
+      }
+      if (r == Podem::Outcome::Undetectable) continue;
+      v.status = FaultStatus::Detected;
+      return;
+    }
+    v.status = any_aborted ? FaultStatus::Aborted : FaultStatus::Undetectable;
+  }
+
+  void fold(AtpgCounters& c) const {
+    c.podem_backtracks = podem_.total_backtracks();
+    c.sat_calls = sat_calls_;
+    c.sat_conflicts = sat_conflicts_;
+    c.sat_seconds = sat_seconds_;
+  }
+
+ private:
+  template <typename Solve>
+  Podem::Outcome solve(Solve&& run) {
+    TraceSpan span("atpg.phase2.sat", "atpg");
+    const auto start = Clock::now();
+    const Podem::Outcome r = run();
+    sat_seconds_ += seconds_since(start);
+    ++sat_calls_;
+    sat_conflicts_ += sat_.conflicts();
+    if (span.active()) {
+      span.arg("conflicts", sat_.conflicts());
+      span.arg("verdict", r == Podem::Outcome::Detected       ? "sat"
+                          : r == Podem::Outcome::Undetectable ? "unsat"
+                                                              : "cancelled");
+    }
+    return r;
+  }
+
+  Podem podem_;
+  SatAtpg sat_;
+  const CancelToken* cancel_;
+  std::vector<CondLiteral> frame0_;
+  std::uint64_t sat_calls_ = 0;
+  std::uint64_t sat_conflicts_ = 0;
+  double sat_seconds_ = 0.0;
+};
 
 }  // namespace
 
@@ -352,10 +450,11 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   phase_span.reset();
   result.counters.phase1_seconds = seconds_since(phase1_start);
 
-  // ---- phase 2: deterministic PODEM ----
+  // ---- phase 2: PODEM, with the SAT miter behind its aborts ----
   const auto phase2_start = Clock::now();
   phase_span.emplace("atpg.phase2.podem", "atpg");
-  Podem podem(*dense, {options.backtrack_limit, options.cancel});
+  TargetClassifier classifier(*dense, options);
+  TargetClassifier::Verdict verdict;
   // Process remaining targets; each generated test also drops others.
   std::vector<std::uint32_t> queue = std::move(targets);
   targets.clear();
@@ -363,61 +462,41 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
     if (cancel_expired(options.cancel)) break;
     const std::uint32_t i = queue[qi];
     if (result.status[i] != FaultStatus::Unknown) continue;
-
-    bool any_aborted = false;
-    bool detected = false;
-    for (const Excitation& exc : excitations[i]) {
-      // Frame-0 cube first: an unjustifiable initialization kills the
-      // whole excitation.
-      std::vector<CondLiteral> frame0;
-      for (const CondLiteral& lit : exc.lits) {
-        if (lit.frame == 0) frame0.push_back(lit);
-      }
-      std::vector<V3> assign0;
-      if (!frame0.empty()) {
-        const auto r = podem.justify(frame0, &assign0);
-        if (r == Podem::Outcome::Undetectable) continue;
-        if (r == Podem::Outcome::Aborted) {
-          any_aborted = true;
-          continue;
-        }
-      }
-      std::vector<V3> assign1;
-      const auto r = podem.detect(exc, &assign1);
-      if (r == Podem::Outcome::Aborted) {
-        any_aborted = true;
-        continue;
-      }
-      if (r == Podem::Outcome::Undetectable) continue;
-
-      detected = true;
-      result.status[i] = FaultStatus::Detected;
-      if (options.generate_tests) {
-        TestPattern t;
-        t.frame0 = assign0.empty() ? random_frame(num_sources, rng)
-                                   : concretize(assign0, rng);
-        t.frame1 = concretize(assign1, rng);
-        tests.push_back(std::move(t));
-        // Drop other queued faults with the fresh test.
-        targets.clear();
-        for (std::size_t qj = qi + 1; qj < queue.size(); ++qj) {
-          if (result.status[queue[qj]] == FaultStatus::Unknown) {
-            targets.push_back(queue[qj]);
-          }
-        }
-        simulator.load(tests, tests.size() - 1, 1);
-        sweep_masks(targets, sweep_scratch);
-        for (std::size_t k = 0; k < targets.size(); ++k) {
-          if (sweep_scratch[k] != 0) {
-            result.status[targets[k]] = FaultStatus::Detected;
-          }
-        }
-      }
-      break;
+    classifier.classify(excitations[i], verdict);
+    result.status[i] = verdict.status;
+    if (verdict.status != FaultStatus::Detected ||
+        !(options.generate_tests || verdict.by_sat)) {
+      continue;
     }
-    if (!detected) {
-      result.status[i] =
-          any_aborted ? FaultStatus::Aborted : FaultStatus::Undetectable;
+    TestPattern t;
+    t.frame0 = verdict.assign0.empty() ? random_frame(num_sources, rng)
+                                       : concretize(verdict.assign0, rng);
+    t.frame1 = concretize(verdict.assign1, rng);
+    tests.push_back(std::move(t));
+    simulator.load(tests, tests.size() - 1, 1);
+    // A SAT model is checked against its own target by the fault
+    // simulator before the verdict stands: a miss is an encoder bug.
+    if (verdict.by_sat && simulator.detect_mask(excitations[i]) == 0) {
+      if (cancel_expired(options.cancel)) break;
+      fatal_invariant("SAT test for fault %u not confirmed by fault "
+                      "simulation", i);
+    }
+    if (!options.generate_tests) {
+      tests.pop_back();
+      continue;
+    }
+    // Drop other queued faults with the fresh test.
+    targets.clear();
+    for (std::size_t qj = qi + 1; qj < queue.size(); ++qj) {
+      if (result.status[queue[qj]] == FaultStatus::Unknown) {
+        targets.push_back(queue[qj]);
+      }
+    }
+    sweep_masks(targets, sweep_scratch);
+    for (std::size_t k = 0; k < targets.size(); ++k) {
+      if (sweep_scratch[k] != 0) {
+        result.status[targets[k]] = FaultStatus::Detected;
+      }
     }
   }
   phase_span.reset();
@@ -475,7 +554,7 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   // live on each private simulator (never shared across threads), so
   // the hot loops stay free of contended atomics and this serial merge
   // is the only synchronization the instrumentation needs.
-  result.counters.podem_backtracks = podem.total_backtracks();
+  classifier.fold(result.counters);
   result.counters.patterns_simulated = simulator.patterns_simulated();
   result.counters.detect_mask_calls = simulator.detect_mask_calls();
   result.counters.propagation_events = simulator.propagation_events();

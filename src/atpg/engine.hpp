@@ -17,7 +17,7 @@ enum class FaultStatus : std::uint8_t {
   Unknown = 0,
   Detected,
   Undetectable,
-  Aborted,  ///< search budget exhausted; never counted as undetectable
+  Aborted,  ///< cut short by cancellation; never counted as undetectable
 };
 
 /// Detectability memo across resynthesis iterations. Valid because the
@@ -36,7 +36,9 @@ struct FaultStatusCache {
 
 struct AtpgOptions {
   int random_batches = 8;        ///< 64 random pattern pairs per batch
-  long backtrack_limit = 4000;
+  /// PODEM backtracks per search before the SAT miter takes over. Tunes
+  /// speed only: every verdict is the same for every value.
+  long backtrack_limit = 64;
   bool generate_tests = true;    ///< collect + reverse-compact a test set
   std::uint64_t seed = 12345;
   /// Worker lanes for the fault-simulation sweeps: 0 = one per hardware
@@ -81,7 +83,8 @@ struct AtpgOptions {
   /// 1..N = sweep workers). When null a call-local arena is used.
   FaultSimArena* arena = nullptr;
   /// Cooperative cancellation: checked between batches, between PODEM
-  /// targets, and every few dozen backtracks inside a single search.
+  /// targets, every few dozen backtracks inside a single search, and
+  /// every 256 conflicts inside a SAT solve.
   /// On expiry the run returns early with `AtpgResult::cancelled` set,
   /// unclassified faults left Unknown, and NOTHING stored into the
   /// cache (a partial run must not clobber cached verdicts).
@@ -112,10 +115,11 @@ struct AtpgResult {
 
 /// Full classification of a DFM fault universe: optional warm-start
 /// replay of a seed test set, random-pattern fault simulation with
-/// dropping, then complete PODEM for the remainder (detect /
-/// prove-undetectable / abort), with optional test-set generation and
-/// reverse-order compaction. `cache`, when given, is consulted before
-/// any search and updated afterwards.
+/// dropping, then PODEM with a SAT miter behind its aborts for the
+/// remainder (detect / prove undetectable; abort only on cancellation),
+/// with optional test-set generation and reverse-order compaction.
+/// `cache`, when given, is consulted before any search and updated
+/// afterwards.
 [[nodiscard]] AtpgResult run_atpg(const Netlist& nl,
                                   const FaultUniverse& universe,
                                   const UdfmMap& udfm,

@@ -8,9 +8,8 @@ namespace dfmres {
 namespace {
 constexpr int kPow3[7] = {1, 3, 9, 27, 81, 243, 729};
 constexpr std::uint32_t kNoLut = 0xFFFFFFFFu;
-// driver_rank_ markers for nodes no relevant gate drives.
-constexpr std::uint32_t kSource = 0xFFFFFFFEu;
-constexpr std::uint32_t kUndriven = 0xFFFFFFFFu;
+constexpr std::uint32_t kSource = SearchGraph::kSource;
+constexpr std::uint32_t kUndriven = SearchGraph::kUndriven;
 }  // namespace
 
 Podem::Podem(const DenseView& dense, Config config)
@@ -50,8 +49,9 @@ std::uint32_t Podem::lut_of(std::uint32_t g) {
 
 int Podem::good_index(std::uint32_t r) const {
   int idx = 0;  // Horner, from the last input down
-  for (std::uint32_t i = fanin_offset_[r + 1]; i > fanin_offset_[r]; --i) {
-    idx = idx * 3 + static_cast<int>(value_[fanin_node_[i - 1]].good);
+  for (std::uint32_t i = sg_.fanin_offset[r + 1]; i > sg_.fanin_offset[r];
+       --i) {
+    idx = idx * 3 + static_cast<int>(value_[sg_.fanin_node[i - 1]].good);
   }
   return idx;
 }
@@ -60,13 +60,13 @@ void Podem::build_subgraph(std::span<const CondLiteral> lits,
                            const Excitation* exc) {
   const DenseView& dv = dense_;
   ++epoch_;
-  nodes_.clear();
-  gates_.clear();
+  sg_.nodes.clear();
+  sg_.gates.clear();
   const auto node_of = [&](std::uint32_t net) {
     if (net_stamp_[net] != epoch_) {
       net_stamp_[net] = epoch_;
-      net_node_[net] = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.push_back(net);
+      net_node_[net] = static_cast<std::uint32_t>(sg_.nodes.size());
+      sg_.nodes.push_back(net);
     }
     return net_node_[net];
   };
@@ -74,7 +74,7 @@ void Podem::build_subgraph(std::span<const CondLiteral> lits,
   const auto add_gate = [&](std::uint32_t g) {
     if (gate_stamp_[g] == epoch_) return false;
     gate_stamp_[g] = epoch_;
-    gates_.push_back(g);
+    sg_.gates.push_back(g);
     for (std::uint32_t k = dv.output_offset[g]; k < dv.output_offset[g + 1];
          ++k) {
       node_of(dv.output_net[k]);
@@ -87,18 +87,19 @@ void Podem::build_subgraph(std::span<const CondLiteral> lits,
   scratch_.clear();
   if (exc != nullptr) {
     node_of(exc->victim.value());
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      const std::uint32_t net = nodes_[i];
+    for (std::size_t i = 0; i < sg_.nodes.size(); ++i) {
+      const std::uint32_t net = sg_.nodes[i];
       for (std::uint32_t s = dv.fanout_offset[net];
            s < dv.fanout_offset[net + 1]; ++s) {
         add_gate(dv.fanout_gate[s]);
       }
     }
-    scratch_.assign(gates_.begin(), gates_.end());  // the cone gates
+    scratch_.assign(sg_.gates.begin(), sg_.gates.end());  // the cone gates
   }
-  lit_node_.clear();
+  sg_.cone_nodes = static_cast<std::uint32_t>(sg_.nodes.size());
+  sg_.lit_node.clear();
   for (const CondLiteral& lit : lits) {
-    lit_node_.push_back(node_of(lit.net.value()));
+    sg_.lit_node.push_back(node_of(lit.net.value()));
   }
   for (const std::uint32_t g : scratch_) {
     for (std::uint32_t i = dv.fanin_offset[g]; i < dv.fanin_offset[g + 1];
@@ -108,8 +109,8 @@ void Podem::build_subgraph(std::span<const CondLiteral> lits,
   }
   // Backward closure over combinational drivers; sources, undriven nets
   // and flop outputs terminate it.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const std::uint32_t d = dv.driver[nodes_[i]];
+  for (std::size_t i = 0; i < sg_.nodes.size(); ++i) {
+    const std::uint32_t d = dv.driver[sg_.nodes[i]];
     if (d == DenseView::kNoDriver || dv.is_sequential[d]) continue;
     if (!add_gate(d)) continue;
     for (std::uint32_t k = dv.fanin_offset[d]; k < dv.fanin_offset[d + 1];
@@ -119,24 +120,25 @@ void Podem::build_subgraph(std::span<const CondLiteral> lits,
   }
 
   // Ranks: relevant gates in topological order.
-  std::sort(gates_.begin(), gates_.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return dv.topo_pos[a] < dv.topo_pos[b];
-  });
-  const auto num_nodes = static_cast<std::uint32_t>(nodes_.size());
-  const auto num_ranks = static_cast<std::uint32_t>(gates_.size());
-  driver_rank_.assign(num_nodes, kUndriven);
-  driver_out_.assign(num_nodes, 0);
-  fanin_offset_.assign(1, 0);
-  out_offset_.assign(1, 0);
-  fanin_node_.clear();
-  out_node_.clear();
-  out_lut_.clear();
+  std::sort(sg_.gates.begin(), sg_.gates.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return dv.topo_pos[a] < dv.topo_pos[b];
+            });
+  const auto num_nodes = static_cast<std::uint32_t>(sg_.nodes.size());
+  const auto num_ranks = static_cast<std::uint32_t>(sg_.gates.size());
+  sg_.driver_rank.assign(num_nodes, kUndriven);
+  sg_.driver_out.assign(num_nodes, 0);
+  sg_.fanin_offset.assign(1, 0);
+  sg_.out_offset.assign(1, 0);
+  sg_.fanin_node.clear();
+  sg_.out_node.clear();
+  sg_.out_lut.clear();
   for (std::uint32_t r = 0; r < num_ranks; ++r) {
-    const std::uint32_t g = gates_[r];
+    const std::uint32_t g = sg_.gates[r];
     gate_rank_[g] = r;
     for (std::uint32_t i = dv.fanin_offset[g]; i < dv.fanin_offset[g + 1];
          ++i) {
-      fanin_node_.push_back(net_node_[dv.fanin_net[i]]);
+      sg_.fanin_node.push_back(net_node_[dv.fanin_net[i]]);
     }
     const std::uint32_t block = lut_of(g);
     const auto stride = static_cast<std::uint32_t>(
@@ -144,46 +146,50 @@ void Podem::build_subgraph(std::span<const CondLiteral> lits,
     for (std::uint32_t k = dv.output_offset[g]; k < dv.output_offset[g + 1];
          ++k) {
       const std::uint32_t node = net_node_[dv.output_net[k]];
-      driver_rank_[node] = r;
-      driver_out_[node] = static_cast<std::uint32_t>(out_node_.size());
-      out_node_.push_back(node);
-      out_lut_.push_back(block + (k - dv.output_offset[g]) * stride);
+      sg_.driver_rank[node] = r;
+      sg_.driver_out[node] = static_cast<std::uint32_t>(sg_.out_node.size());
+      sg_.out_node.push_back(node);
+      sg_.out_lut.push_back(block + (k - dv.output_offset[g]) * stride);
     }
-    fanin_offset_.push_back(static_cast<std::uint32_t>(fanin_node_.size()));
-    out_offset_.push_back(static_cast<std::uint32_t>(out_node_.size()));
+    sg_.fanin_offset.push_back(
+        static_cast<std::uint32_t>(sg_.fanin_node.size()));
+    sg_.out_offset.push_back(static_cast<std::uint32_t>(sg_.out_node.size()));
   }
-  sources_.clear();
+  sg_.sources.clear();
   for (std::uint32_t i = 0; i < dv.sources.size(); ++i) {
     const std::uint32_t net = dv.sources[i];
     if (net_stamp_[net] != epoch_) continue;
-    driver_rank_[net_node_[net]] = kSource;
-    sources_.emplace_back(net_node_[net], i);
+    sg_.driver_rank[net_node_[net]] = kSource;
+    sg_.sources.emplace_back(net_node_[net], i);
   }
-  sink_offset_.assign(1, 0);
-  sink_rank_.clear();
-  observe_.resize(num_nodes);
+  sg_.sink_offset.assign(1, 0);
+  sg_.sink_rank.clear();
+  sg_.observe.resize(num_nodes);
   for (std::uint32_t n = 0; n < num_nodes; ++n) {
-    const std::uint32_t net = nodes_[n];
+    const std::uint32_t net = sg_.nodes[n];
     for (std::uint32_t s = dv.fanout_offset[net];
          s < dv.fanout_offset[net + 1]; ++s) {
       const std::uint32_t g = dv.fanout_gate[s];
-      if (gate_stamp_[g] == epoch_) sink_rank_.push_back(gate_rank_[g]);
+      if (gate_stamp_[g] == epoch_) sg_.sink_rank.push_back(gate_rank_[g]);
     }
-    std::sort(sink_rank_.begin() + sink_offset_.back(), sink_rank_.end());
-    sink_offset_.push_back(static_cast<std::uint32_t>(sink_rank_.size()));
-    observe_[n] = dv.observe_flag[net];
+    std::sort(sg_.sink_rank.begin() + sg_.sink_offset.back(),
+              sg_.sink_rank.end());
+    sg_.sink_offset.push_back(static_cast<std::uint32_t>(sg_.sink_rank.size()));
+    sg_.observe[n] = dv.observe_flag[net];
   }
-  cone_ranks_.clear();
-  for (const std::uint32_t g : scratch_) cone_ranks_.push_back(gate_rank_[g]);
-  std::sort(cone_ranks_.begin(), cone_ranks_.end());
+  sg_.cone_ranks.clear();
+  for (const std::uint32_t g : scratch_) {
+    sg_.cone_ranks.push_back(gate_rank_[g]);
+  }
+  std::sort(sg_.cone_ranks.begin(), sg_.cone_ranks.end());
 
   // All-X baseline; decisions then propagate incrementally.
   value_.assign(num_nodes, V5{});
   for (std::uint32_t r = 0; r < num_ranks; ++r) {
     const int idx = good_index(r);
-    for (std::uint32_t k = out_offset_[r]; k < out_offset_[r + 1]; ++k) {
-      const auto v = static_cast<V3>(lut_[out_lut_[k] + idx]);
-      value_[out_node_[k]] = V5{v, v};
+    for (std::uint32_t k = sg_.out_offset[r]; k < sg_.out_offset[r + 1]; ++k) {
+      const auto v = static_cast<V3>(lut_[sg_.out_lut[k] + idx]);
+      value_[sg_.out_node[k]] = V5{v, v};
     }
   }
   diff_nodes_.clear();
@@ -206,10 +212,11 @@ void Podem::simulate_faulty(const Excitation& exc, V3 excited) {
   const auto set_faulty = [&](std::uint32_t n, V3 f) {
     value_[n].faulty = f;
     diff_nodes_.push_back(n);
-    observed_ |= observe_[n] != 0 && value_[n].has_fault_effect();
-    for (std::uint32_t s = sink_offset_[n]; s < sink_offset_[n + 1]; ++s) {
-      dirty += dirty_[sink_rank_[s]] ^ 1u;
-      dirty_[sink_rank_[s]] = 1;
+    observed_ |= sg_.observe[n] != 0 && value_[n].has_fault_effect();
+    for (std::uint32_t s = sg_.sink_offset[n]; s < sg_.sink_offset[n + 1];
+         ++s) {
+      dirty += dirty_[sg_.sink_rank[s]] ^ 1u;
+      dirty_[sg_.sink_rank[s]] = 1;
     }
   };
   const V3 good = value_[0].good;  // the victim is node 0
@@ -221,18 +228,19 @@ void Podem::simulate_faulty(const Excitation& exc, V3 excited) {
   }
   if (f != good) set_faulty(0, f);
   for (std::size_t c = 0; dirty != 0; ++c) {
-    const std::uint32_t r = cone_ranks_[c];
+    const std::uint32_t r = sg_.cone_ranks[c];
     if (dirty_[r] == 0) continue;
     dirty_[r] = 0;
     --dirty;
     touched_.push_back(r);
     int idx = 0;
-    for (std::uint32_t i = fanin_offset_[r + 1]; i > fanin_offset_[r]; --i) {
-      idx = idx * 3 + static_cast<int>(value_[fanin_node_[i - 1]].faulty);
+    for (std::uint32_t i = sg_.fanin_offset[r + 1]; i > sg_.fanin_offset[r];
+         --i) {
+      idx = idx * 3 + static_cast<int>(value_[sg_.fanin_node[i - 1]].faulty);
     }
-    for (std::uint32_t k = out_offset_[r]; k < out_offset_[r + 1]; ++k) {
-      const auto fo = static_cast<V3>(lut_[out_lut_[k] + idx]);
-      if (fo != value_[out_node_[k]].good) set_faulty(out_node_[k], fo);
+    for (std::uint32_t k = sg_.out_offset[r]; k < sg_.out_offset[r + 1]; ++k) {
+      const auto fo = static_cast<V3>(lut_[sg_.out_lut[k] + idx]);
+      if (fo != value_[sg_.out_node[k]].good) set_faulty(sg_.out_node[k], fo);
     }
   }
 }
@@ -241,7 +249,7 @@ V3 Podem::excitation_state(std::span<const CondLiteral> lits) const {
   bool any_x = false;
   for (std::size_t i = 0; i < lits.size(); ++i) {
     if (lits[i].frame != 1) continue;
-    const V3 v = value_[lit_node_[i]].good;
+    const V3 v = value_[sg_.lit_node[i]].good;
     if (v == V3::X) {
       any_x = true;
     } else if (v != v3_of(lits[i].value)) {
@@ -266,11 +274,13 @@ bool Podem::x_path_exists() {
   while (!scratch_.empty()) {
     const std::uint32_t n = scratch_.back();
     scratch_.pop_back();
-    if (observe_[n] != 0) return true;  // a PO or a flop input
-    for (std::uint32_t s = sink_offset_[n]; s < sink_offset_[n + 1]; ++s) {
-      const std::uint32_t r = sink_rank_[s];
-      for (std::uint32_t k = out_offset_[r]; k < out_offset_[r + 1]; ++k) {
-        const std::uint32_t out = out_node_[k];
+    if (sg_.observe[n] != 0) return true;  // a PO or a flop input
+    for (std::uint32_t s = sg_.sink_offset[n]; s < sg_.sink_offset[n + 1];
+         ++s) {
+      const std::uint32_t r = sg_.sink_rank[s];
+      for (std::uint32_t k = sg_.out_offset[r]; k < sg_.out_offset[r + 1];
+           ++k) {
+        const std::uint32_t out = sg_.out_node[k];
         if (visited_[out] != visit_epoch_ && passable(out)) {
           visited_[out] = visit_epoch_;
           scratch_.push_back(out);
@@ -286,8 +296,8 @@ std::optional<Podem::Objective> Podem::pick_objective(
   // 1. Unjustified condition literal.
   for (std::size_t i = 0; i < lits.size(); ++i) {
     if (lits[i].frame != 1) continue;
-    if (value_[lit_node_[i]].good == V3::X) {
-      return Objective{lit_node_[i], lits[i].value};
+    if (value_[sg_.lit_node[i]].good == V3::X) {
+      return Objective{sg_.lit_node[i], lits[i].value};
     }
   }
   if (!exc) return std::nullopt;  // pure justification: everything done
@@ -299,19 +309,19 @@ std::optional<Podem::Objective> Podem::pick_objective(
   // is still undecided; set one X input to help. Only gates the last
   // simulate_faulty swept have a differing input, in ascending rank.
   for (const std::uint32_t r : touched_) {
-    const std::uint32_t begin = fanin_offset_[r];
-    const std::uint32_t end = fanin_offset_[r + 1];
+    const std::uint32_t begin = sg_.fanin_offset[r];
+    const std::uint32_t end = sg_.fanin_offset[r + 1];
     bool has_d_input = false;
     for (std::uint32_t i = begin; i < end; ++i) {
-      if (value_[fanin_node_[i]].has_fault_effect()) {
+      if (value_[sg_.fanin_node[i]].has_fault_effect()) {
         has_d_input = true;
         break;
       }
     }
     if (!has_d_input) continue;
     bool output_undecided = false;
-    for (std::uint32_t k = out_offset_[r]; k < out_offset_[r + 1]; ++k) {
-      const V5 ov = value_[out_node_[k]];
+    for (std::uint32_t k = sg_.out_offset[r]; k < sg_.out_offset[r + 1]; ++k) {
+      const V5 ov = value_[sg_.out_node[k]];
       if (!ov.has_fault_effect() &&
           (ov.faulty == V3::X || ov.good == V3::X)) {
         output_undecided = true;
@@ -322,13 +332,13 @@ std::optional<Podem::Objective> Podem::pick_objective(
     int good_idx = 0;
     int faulty_idx = 0;
     for (std::uint32_t i = begin; i < end; ++i) {
-      good_idx += static_cast<int>(value_[fanin_node_[i]].good) *
+      good_idx += static_cast<int>(value_[sg_.fanin_node[i]].good) *
                   kPow3[i - begin];
-      faulty_idx += static_cast<int>(value_[fanin_node_[i]].faulty) *
+      faulty_idx += static_cast<int>(value_[sg_.fanin_node[i]].faulty) *
                     kPow3[i - begin];
     }
     for (std::uint32_t i = begin; i < end; ++i) {
-      const std::uint32_t in = fanin_node_[i];
+      const std::uint32_t in = sg_.fanin_node[i];
       if (value_[in].good != V3::X) continue;
       // Replace digit i on both sides by the candidate value.
       const int pow = kPow3[i - begin];
@@ -336,9 +346,10 @@ std::optional<Podem::Objective> Podem::pick_objective(
       const int fx = faulty_idx - static_cast<int>(value_[in].faulty) * pow;
       for (const bool candidate : {true, false}) {
         const int c = static_cast<int>(v3_of(candidate)) * pow;
-        for (std::uint32_t k = out_offset_[r]; k < out_offset_[r + 1]; ++k) {
-          const auto go = static_cast<V3>(lut_[out_lut_[k] + gx + c]);
-          const auto fo = static_cast<V3>(lut_[out_lut_[k] + fx + c]);
+        for (std::uint32_t k = sg_.out_offset[r]; k < sg_.out_offset[r + 1];
+           ++k) {
+          const auto go = static_cast<V3>(lut_[sg_.out_lut[k] + gx + c]);
+          const auto fo = static_cast<V3>(lut_[sg_.out_lut[k] + fx + c]);
           if (is_definite(go) && is_definite(fo) && go != fo) {
             return Objective{in, candidate};
           }
@@ -356,19 +367,19 @@ std::optional<Podem::Decision> Podem::backtrace(Objective obj) const {
   std::uint32_t node = obj.node;
   bool want = obj.value;
   for (;;) {
-    const std::uint32_t r = driver_rank_[node];
+    const std::uint32_t r = sg_.driver_rank[node];
     if (r == kSource) return Decision{node, want, false};
     if (r == kUndriven) return std::nullopt;  // dead end
-    const std::uint8_t* lut = lut_.data() + out_lut_[driver_out_[node]];
+    const std::uint8_t* lut = lut_.data() + sg_.out_lut[sg_.driver_out[node]];
     const int idx = good_index(r);
 
     // Pick an X input; choose the value most likely to produce `want`.
-    const std::uint32_t begin = fanin_offset_[r];
-    int chosen = -1;  // position in fanin_node_
+    const std::uint32_t begin = sg_.fanin_offset[r];
+    int chosen = -1;  // position in sg_.fanin_node
     bool chosen_value = want;
-    for (std::uint32_t i = begin; i < fanin_offset_[r + 1] && chosen < 0;
+    for (std::uint32_t i = begin; i < sg_.fanin_offset[r + 1] && chosen < 0;
          ++i) {
-      if (value_[fanin_node_[i]].good != V3::X) continue;
+      if (value_[sg_.fanin_node[i]].good != V3::X) continue;
       const int pow = kPow3[i - begin];
       for (const bool candidate : {true, false}) {
         const V3 out = static_cast<V3>(
@@ -386,7 +397,7 @@ std::optional<Podem::Decision> Podem::backtrace(Objective obj) const {
       // means the objective is already decided against us.
       return std::nullopt;
     }
-    node = fanin_node_[static_cast<std::uint32_t>(chosen)];
+    node = sg_.fanin_node[static_cast<std::uint32_t>(chosen)];
     want = chosen_value;
   }
 }
@@ -404,16 +415,16 @@ void Podem::assign_source(std::uint32_t node, V3 v) {
   std::uint32_t first = 0xFFFFFFFFu;  // lowest / highest pending word
   std::uint32_t last = 0;
   const auto schedule_sinks = [&](std::uint32_t n) {
-    const std::uint32_t begin = sink_offset_[n];
-    const std::uint32_t end = sink_offset_[n + 1];
+    const std::uint32_t begin = sg_.sink_offset[n];
+    const std::uint32_t end = sg_.sink_offset[n + 1];
     if (begin == end) return;
     for (std::uint32_t s = begin; s < end; ++s) {
-      const std::uint32_t r = sink_rank_[s];
+      const std::uint32_t r = sg_.sink_rank[s];
       pending[r >> 6] |= std::uint64_t{1} << (r & 63);
     }
     // Sink rows are sorted, so their ends bound the pending words.
-    first = std::min(first, sink_rank_[begin] >> 6);
-    last = std::max(last, sink_rank_[end - 1] >> 6);
+    first = std::min(first, sg_.sink_rank[begin] >> 6);
+    last = std::max(last, sg_.sink_rank[end - 1] >> 6);
   };
   schedule_sinks(node);
   for (std::uint32_t w = first; w <= last; ++w) {
@@ -422,9 +433,10 @@ void Podem::assign_source(std::uint32_t node, V3 v) {
           (w << 6) | static_cast<std::uint32_t>(std::countr_zero(pending[w])));
       pending[w] &= pending[w] - 1;
       const int idx = good_index(r);
-      for (std::uint32_t k = out_offset_[r]; k < out_offset_[r + 1]; ++k) {
-        const std::uint32_t out = out_node_[k];
-        const auto nv = static_cast<V3>(lut_[out_lut_[k] + idx]);
+      for (std::uint32_t k = sg_.out_offset[r]; k < sg_.out_offset[r + 1];
+           ++k) {
+        const std::uint32_t out = sg_.out_node[k];
+        const auto nv = static_cast<V3>(lut_[sg_.out_lut[k] + idx]);
         if (value_[out].good != nv) {
           trail_.push_back({out, value_[out].good});
           value_[out] = V5{nv, nv};
@@ -456,7 +468,7 @@ Podem::Outcome Podem::search(std::span<const CondLiteral> lits,
   const auto emit_test = [&] {
     if (!test) return;
     test->assign(dense_.sources.size(), V3::X);
-    for (const auto& [node, ordinal] : sources_) {
+    for (const auto& [node, ordinal] : sg_.sources) {
       (*test)[ordinal] = value_[node].good;
     }
   };

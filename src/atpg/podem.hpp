@@ -13,6 +13,35 @@
 
 namespace dfmres {
 
+/// The compact subgraph one search runs on, built from the DenseView by
+/// Podem::build_subgraph. Nodes are the nets the search can ever read:
+/// the victim's fanout cone (outputs and side inputs), the condition
+/// literals, and their backward closure over combinational drivers. The
+/// victim is node 0, and nodes [0, cone_nodes) are the victim plus the
+/// outputs of its cone gates. Ranks order the gates driving nodes by
+/// topological position, so every sink outranks its drivers.
+struct SearchGraph {
+  /// driver_rank markers for nodes no relevant gate drives.
+  static constexpr std::uint32_t kSource = 0xFFFFFFFEu;
+  static constexpr std::uint32_t kUndriven = 0xFFFFFFFFu;
+
+  // Per rank: fanin nodes and output nodes (with their LUT offsets) as
+  // CSR rows. Per node: its net slot, sink ranks (CSR), the driving rank
+  // and output (or kSource / kUndriven), and observability.
+  std::vector<std::uint32_t> nodes;  // node -> net slot
+  std::vector<std::uint32_t> gates;  // rank -> gate slot
+  std::vector<std::uint32_t> fanin_offset, fanin_node;
+  std::vector<std::uint32_t> out_offset, out_node, out_lut;
+  std::vector<std::uint32_t> sink_offset, sink_rank;
+  std::vector<std::uint32_t> driver_rank, driver_out;
+  std::vector<std::uint8_t> observe;
+  // (node, source ordinal) of every source node.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> sources;
+  std::vector<std::uint32_t> lit_node;    // parallel to the literals
+  std::vector<std::uint32_t> cone_ranks;  // victim cone, ascending
+  std::uint32_t cone_nodes = 0;           // 0 for a justification
+};
+
 /// PODEM test generator over the combinational (full-scan) view.
 ///
 /// Handles every fault model through condition cubes: the engine
@@ -20,13 +49,13 @@ namespace dfmres {
 /// victim to its faulty value, and propagates the composite D value to an
 /// observation point, branching only on sources (PIs and flop outputs).
 /// The search is complete: exhausting it proves undetectability (the
-/// paper's U set); hitting the backtrack limit yields Aborted, which is
-/// never counted as undetectable.
+/// paper's U set); hitting the backtrack limit yields Aborted, which the
+/// engine hands to the SAT miter (src/atpg/sat.hpp) for a verdict.
 ///
-/// Each search runs on a compact subgraph built once from the DenseView
-/// (see build_subgraph): the nets it can read get dense local ids
-/// ("nodes"), the gates that compute them get local ids in topological
-/// order ("ranks"), and every hot loop walks local CSR rows.
+/// Each search runs on a compact SearchGraph built once from the
+/// DenseView: the nets it can read get dense local ids ("nodes"), the
+/// gates that compute them get local ids in topological order ("ranks"),
+/// and every hot loop walks local CSR rows.
 class Podem {
  public:
   struct Config {
@@ -51,6 +80,10 @@ class Podem {
   /// requirement; used for the initializing pattern of two-frame faults.
   Outcome justify(std::span<const CondLiteral> lits, std::vector<V3>* test);
 
+  /// The subgraph of the last detect/justify call; valid until the next
+  /// one (the SAT back end encodes the same subgraph after an abort).
+  [[nodiscard]] const SearchGraph& graph() const { return sg_; }
+
   /// Total backtracks across every detect/justify call on this instance
   /// (instrumentation for AtpgCounters).
   [[nodiscard]] std::uint64_t total_backtracks() const {
@@ -71,12 +104,8 @@ class Podem {
   Outcome search(std::span<const CondLiteral> lits, const Excitation* exc,
                  std::vector<V3>* test);
 
-  /// Builds the subgraph of one search and simulates it with every source
-  /// at X. Nodes are the nets the search can ever read: the victim's
-  /// fanout cone (outputs and side inputs), the condition literals, and
-  /// their backward closure over combinational drivers; the victim is
-  /// node 0. Ranks order the gates driving nodes by topological position,
-  /// so every sink outranks its drivers.
+  /// Builds the subgraph of one search (see SearchGraph) and simulates it
+  /// with every source at X.
   void build_subgraph(std::span<const CondLiteral> lits,
                       const Excitation* exc);
   /// Offset of gate slot `g`'s ternary LUT block in lut_ (built on first
@@ -114,19 +143,7 @@ class Podem {
   std::vector<std::uint32_t> net_stamp_, net_node_;
   std::vector<std::uint32_t> gate_stamp_, gate_rank_;
 
-  // The subgraph. Per rank: fanin nodes and output nodes (with their LUT
-  // offsets) as CSR rows. Per node: its net slot, sink ranks (CSR), the
-  // driving rank and output (or kSource / kUndriven), and observability.
-  std::vector<std::uint32_t> nodes_;  // node -> net slot
-  std::vector<std::uint32_t> gates_;  // rank -> gate slot
-  std::vector<std::uint32_t> fanin_offset_, fanin_node_;
-  std::vector<std::uint32_t> out_offset_, out_node_, out_lut_;
-  std::vector<std::uint32_t> sink_offset_, sink_rank_;
-  std::vector<std::uint32_t> driver_rank_, driver_out_;
-  std::vector<std::uint8_t> observe_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> sources_;  // node, ordinal
-  std::vector<std::uint32_t> lit_node_;  // parallel to the literals
-  std::vector<std::uint32_t> cone_ranks_;  // victim cone, ascending
+  SearchGraph sg_;
 
   // Per node. A faulty value differs from the good one only at the nodes
   // in diff_nodes_, which the last simulate_faulty call set; assignments

@@ -362,6 +362,15 @@ class Procedure {
     if (!mapped) return mapped.status();
     auto spliced = replace_region(copy, *sub, *mapped);
     if (!spliced) return spliced.status();
+    // A region that a path leaves and re-enters is not convex: the
+    // re-mapped logic may read a boundary input that one of its own
+    // outputs feeds from outside, closing a combinational cycle. Such a
+    // candidate is no design, so it fails like an unmappable one.
+    if (copy.has_combinational_cycle()) {
+      return make_status(StatusCode::kUnsatisfiable,
+                         "candidate for '%s' closes a combinational cycle",
+                         copy.name().c_str());
+    }
     return copy;
   }
 
@@ -467,7 +476,8 @@ class Procedure {
   /// exactly as the recompute it replaces would.
   const CandMetrics& measure(const FlowState& cur,
                              std::span<const GateId> region,
-                             const std::vector<bool>& banned) {
+                             const std::vector<bool>& banned, int phase,
+                             double p2) {
     const std::string key = memo_key(region, banned);
     if (auto it = memo_.find(key); it != memo_.end()) return it->second;
     CandMetrics m;
@@ -566,7 +576,7 @@ class Procedure {
         m.faults = state->num_faults();
         m.delay = state->timing.critical_delay;
         m.power = state->timing.total_power();
-        if (options_.dedup_candidates) {
+        if (options_.dedup_candidates && realizable(cur, m, phase, p2)) {
           stash_.emplace(sig, Stash{std::move(*state),
                                     session.take_updates()});
         }
@@ -612,6 +622,7 @@ class Procedure {
         return state;
       }
     }
+    if (options_.dedup_candidates) ++report_.stash_fallbacks;
     auto state = flow_.analyze(AnalysisRequest::incremental(
         std::move(*candidate), cur.placement, /*generate_tests=*/false));
     if (!state) return std::nullopt;  // die full: area constraint
@@ -637,6 +648,14 @@ class Procedure {
     constexpr double kEps = 1e-9;
     return !m.area_failed && m.delay <= budgets_.delay + kEps &&
            m.power <= budgets_.power + kEps;
+  }
+
+  /// Only a candidate realize() would commit right now keeps its probed
+  /// FlowState and overlay in the stash; one that passes at a later q or
+  /// phase is re-analyzed at commit (counted in stash_fallbacks).
+  [[nodiscard]] bool realizable(const FlowState& cur, const CandMetrics& m,
+                                int phase, double p2) const {
+    return accepts(cur, m, phase, p2) && constraints_ok(m);
   }
 
   [[nodiscard]] double elapsed() const {
@@ -695,7 +714,7 @@ class Procedure {
       iter_span.arg("region", static_cast<std::uint64_t>(region.size()));
     }
     reanalyses_left_ = options_.reanalyses_per_iteration;
-    prefetch_ladder(cur, region);
+    prefetch_ladder(cur, region, phase, p2);
 
     int rising = 0;
     std::size_t last_u = std::numeric_limits<std::size_t>::max();
@@ -717,7 +736,7 @@ class Procedure {
         rung_span.arg("ban_through", cell_name.c_str());
         rung_span.arg("region", static_cast<std::uint64_t>(region.size()));
       }
-      const CandMetrics& m = measure(cur, region, banned);
+      const CandMetrics& m = measure(cur, region, banned, phase, p2);
       if (m.cancelled) return std::nullopt;  // abandon the iteration
       if (m.map_failed) break;  // subset insufficient; larger bans too
       if (m.u_in_gate_failed) continue;
@@ -805,7 +824,7 @@ class Procedure {
       std::vector<GateId> sub_region = keep;
       sub_region.insert(sub_region.end(), g_i.begin() + frozen, g_i.end());
       if (sub_region.empty()) return {-2, {}};
-      const CandMetrics& m = measure(cur, sub_region, banned);
+      const CandMetrics& m = measure(cur, sub_region, banned, phase, p2);
       if (m.cancelled) return {-3, {}};
       if (m.map_failed || m.u_in_gate_failed) return {-2, {}};
       const bool ok_accept = accepts(cur, m, phase, p2);
@@ -856,7 +875,8 @@ class Procedure {
   /// publishes into the dedup structures under a mutex; the walk then
   /// consumes the results serially, so acceptance decisions and budget
   /// accounting are identical to the serial run. No-op with one worker.
-  void prefetch_ladder(const FlowState& cur, std::span<const GateId> region) {
+  void prefetch_ladder(const FlowState& cur, std::span<const GateId> region,
+                       int phase, double p2) {
     if (!options_.parallel_ladder || !options_.dedup_candidates) return;
     const int workers =
         ThreadPool::resolve_threads(flow_.options().atpg.num_threads);
@@ -975,7 +995,7 @@ class Procedure {
             ++report_.full_probes;
             report_.probe_seconds += probe_s;
             absorb_probe_counters(session);
-            if (state) {
+            if (state && realizable(cur, m, phase, p2)) {
               stash_.emplace(sig, Stash{std::move(*state),
                                         session.take_updates()});
             }
@@ -1011,7 +1031,8 @@ class Procedure {
   std::unordered_map<std::string, CandMetrics> sig_memo_;
   /// Prefetched u_in results whose full analysis is still pending.
   std::unordered_map<std::string, std::size_t> partial_u_in_;
-  /// Speculative FlowStates + cache overlays awaiting realize().
+  /// Speculative FlowStates + cache overlays of realizable candidates,
+  /// awaiting realize().
   std::unordered_map<std::string, Stash> stash_;
   /// Per-ladder-lane simulator arenas (slot 0 = the serial walk).
   std::vector<FaultSimArena> arenas_{1};

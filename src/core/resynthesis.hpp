@@ -95,6 +95,9 @@ struct ResynthesisReport {
   std::size_t full_probes = 0;       ///< PDesign()-backed re-analyses
   std::size_t sig_hits = 0;          ///< identical-candidate metric reuses
   std::size_t stash_commits = 0;     ///< acceptances realized from the stash
+  /// Acceptances re-analyzed at commit because their probe was not
+  /// stashed (not realizable at the q and phase it was measured at).
+  std::size_t stash_fallbacks = 0;
   double build_seconds = 0.0;
   double u_in_seconds = 0.0;
   double probe_seconds = 0.0;

@@ -133,6 +133,8 @@ std::string RunReport::to_json() const {
     w.field("full_probes", static_cast<std::uint64_t>(r.full_probes));
     w.field("sig_hits", static_cast<std::uint64_t>(r.sig_hits));
     w.field("stash_commits", static_cast<std::uint64_t>(r.stash_commits));
+    w.field("stash_fallbacks",
+            static_cast<std::uint64_t>(r.stash_fallbacks));
     w.field("probe_frame_bytes", r.probe_frame_bytes);
     w.field("probe_full_loads", r.probe_full_loads);
     w.field("probe_overlay_loads", r.probe_overlay_loads);
@@ -196,6 +198,7 @@ void publish_metrics(const ResynthesisReport& report,
   registry.add("resyn.full_probes", report.full_probes);
   registry.add("resyn.sig_hits", report.sig_hits);
   registry.add("resyn.stash_commits", report.stash_commits);
+  registry.add("resyn.stash_fallbacks", report.stash_fallbacks);
   registry.add("resyn.rungs_skipped", report.rungs_skipped);
   registry.add("resyn.replayed_accepts", report.replayed_accepts);
   registry.add("resyn.probe_frame_bytes", report.probe_frame_bytes);

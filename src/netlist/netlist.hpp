@@ -131,6 +131,10 @@ class Netlist {
   /// outputs act as sources). Aborts on a combinational cycle.
   [[nodiscard]] std::vector<GateId> topological_order() const;
 
+  /// True when some combinational gates lie on a cycle (which
+  /// topological_order() would abort on).
+  [[nodiscard]] bool has_combinational_cycle() const;
+
   /// Structural sanity check; returns a human-readable list of problems
   /// (empty = valid).
   [[nodiscard]] std::vector<std::string> validate() const;
@@ -142,6 +146,9 @@ class Netlist {
 
  private:
   void detach_sink(NetId net, PinRef pin);
+  /// Kahn order of the combinational gates; shorter than *num_comb
+  /// exactly when there is a combinational cycle.
+  [[nodiscard]] std::vector<GateId> comb_order(std::size_t* num_comb) const;
 
   std::shared_ptr<const Library> lib_;
   std::string name_;

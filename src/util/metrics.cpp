@@ -53,6 +53,8 @@ void MetricsRegistry::absorb(const AtpgCounters& counters,
   add(p + "detect_mask_calls", counters.detect_mask_calls);
   add(p + "propagation_events", counters.propagation_events);
   add(p + "podem_backtracks", counters.podem_backtracks);
+  add(p + "sat_calls", counters.sat_calls);
+  add(p + "sat_conflicts", counters.sat_conflicts);
   add(p + "replay_drops", counters.replay_drops);
   add(p + "podem_targets_skipped", counters.podem_targets_skipped);
   add(p + "cancelled_targets", counters.cancelled_targets);
@@ -66,6 +68,7 @@ void MetricsRegistry::absorb(const AtpgCounters& counters,
   observe(p + "phase0_seconds", counters.phase0_seconds);
   observe(p + "phase1_seconds", counters.phase1_seconds);
   observe(p + "phase2_seconds", counters.phase2_seconds);
+  observe(p + "sat_seconds", counters.sat_seconds);
   observe(p + "phase3_seconds", counters.phase3_seconds);
   set_gauge(p + "threads_used", counters.threads_used);
   set_gauge(p + "sim_words", counters.sim_words);

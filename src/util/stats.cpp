@@ -73,6 +73,9 @@ void AtpgCounters::merge(const AtpgCounters& other) {
   detect_mask_calls += other.detect_mask_calls;
   propagation_events += other.propagation_events;
   podem_backtracks += other.podem_backtracks;
+  sat_calls += other.sat_calls;
+  sat_conflicts += other.sat_conflicts;
+  sat_seconds += other.sat_seconds;
   replay_drops += other.replay_drops;
   podem_targets_skipped += other.podem_targets_skipped;
   cancelled_targets += other.cancelled_targets;
@@ -94,13 +97,16 @@ void AtpgCounters::merge(const AtpgCounters& other) {
 std::string AtpgCounters::summary() const {
   return strfmt(
       "atpg: %llu patterns, %llu detect_mask calls, %llu prop events, "
-      "%llu backtracks, %llu replay drops, %llu podem skips, "
+      "%llu backtracks, %llu sat calls (%llu conflicts, %.3fs), "
+      "%llu replay drops, %llu podem skips, "
       "%llu cancelled, loads %llu full + %llu overlay (%llu frame bytes), "
       "phases %.3f/%.3f/%.3f/%.3fs, %d thread%s, W=%d lanes",
       static_cast<unsigned long long>(patterns_simulated),
       static_cast<unsigned long long>(detect_mask_calls),
       static_cast<unsigned long long>(propagation_events),
       static_cast<unsigned long long>(podem_backtracks),
+      static_cast<unsigned long long>(sat_calls),
+      static_cast<unsigned long long>(sat_conflicts), sat_seconds,
       static_cast<unsigned long long>(replay_drops),
       static_cast<unsigned long long>(podem_targets_skipped),
       static_cast<unsigned long long>(cancelled_targets),
@@ -115,8 +121,9 @@ std::string AtpgCounters::json() const {
   return strfmt(
       "{\"patterns_simulated\": %llu, \"detect_mask_calls\": %llu, "
       "\"propagation_events\": %llu, \"podem_backtracks\": %llu, "
-      "\"replay_drops\": %llu, \"podem_targets_skipped\": %llu, "
-      "\"cancelled_targets\": %llu, "
+      "\"sat_calls\": %llu, \"sat_conflicts\": %llu, "
+      "\"sat_seconds\": %.6f, \"replay_drops\": %llu, "
+      "\"podem_targets_skipped\": %llu, \"cancelled_targets\": %llu, "
       "\"frame_bytes_materialized\": %llu, \"full_loads\": %llu, "
       "\"overlay_loads\": %llu, \"overlay_dirty_nets\": %llu, "
       "\"overlay_verified_batches\": %llu, "
@@ -128,6 +135,8 @@ std::string AtpgCounters::json() const {
       static_cast<unsigned long long>(detect_mask_calls),
       static_cast<unsigned long long>(propagation_events),
       static_cast<unsigned long long>(podem_backtracks),
+      static_cast<unsigned long long>(sat_calls),
+      static_cast<unsigned long long>(sat_conflicts), sat_seconds,
       static_cast<unsigned long long>(replay_drops),
       static_cast<unsigned long long>(podem_targets_skipped),
       static_cast<unsigned long long>(cancelled_targets),

@@ -54,6 +54,8 @@ struct AtpgCounters {
   std::uint64_t detect_mask_calls = 0;    ///< per-fault simulation queries
   std::uint64_t propagation_events = 0;   ///< faulty-value net updates
   std::uint64_t podem_backtracks = 0;     ///< deterministic-search backtracks
+  std::uint64_t sat_calls = 0;            ///< SAT solves behind PODEM aborts
+  std::uint64_t sat_conflicts = 0;        ///< CDCL conflicts over those solves
   std::uint64_t replay_drops = 0;         ///< faults dropped by seed replay
   std::uint64_t podem_targets_skipped = 0;///< cone-untouched cached targets
   std::uint64_t cancelled_targets = 0;    ///< left Unknown by cancellation
@@ -67,6 +69,7 @@ struct AtpgCounters {
   double phase0_seconds = 0.0;            ///< seed test replay (warm start)
   double phase1_seconds = 0.0;            ///< random patterns + dropping
   double phase2_seconds = 0.0;            ///< PODEM + per-test drop sweeps
+  double sat_seconds = 0.0;               ///< encode + solve, inside phase 2
   double phase3_seconds = 0.0;            ///< reverse-order compaction
   int threads_used = 1;                   ///< resolved worker lane count
   int sim_words = 1;                      ///< kernel lane words (always 1)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <memory>
 
@@ -8,6 +9,7 @@
 #include "src/atpg/excitation.hpp"
 #include "src/atpg/fault_sim.hpp"
 #include "src/atpg/podem.hpp"
+#include "src/atpg/sat.hpp"
 #include "src/circuits/benchmarks.hpp"
 #include "src/core/flow.hpp"
 #include "src/dfm/checker.hpp"
@@ -248,6 +250,29 @@ TEST_P(PodemExhaustive, AgreesWithBruteForce) {
     return false;
   };
 
+  // Every completion of a test's X bits must satisfy `holds`.
+  const auto every_completion = [&](const std::vector<V3>& test,
+                                    const auto& holds) {
+    EXPECT_EQ(test.size(), view.sources.size());
+    std::uint32_t fixed = 0;
+    std::uint32_t free = 0;
+    for (std::size_t s = 0; s < test.size(); ++s) {
+      if (test[s] == V3::X) {
+        free |= 1u << s;
+      } else if (test[s] == V3::One) {
+        fixed |= 1u << s;
+      }
+    }
+    for (std::uint32_t a = 0; a < (1u << num_inputs); ++a) {
+      if ((a & ~free) != fixed) continue;
+      if (!holds(a)) return false;
+    }
+    return true;
+  };
+
+  // The SAT miter encodes the subgraph PODEM built for the same call, so
+  // each excitation and cube is classified by both engines.
+  SatAtpg sat(dense);
   int checked = 0;
   int detected = 0;
   int conditioned = 0;
@@ -270,6 +295,10 @@ TEST_P(PodemExhaustive, AgreesWithBruteForce) {
       std::vector<V3> test;
       const auto verdict = podem.detect(exc, &test);
       ASSERT_NE(verdict, Podem::Outcome::Aborted);
+      std::vector<V3> sat_test;
+      const auto sat_verdict =
+          sat.detect(podem.graph(), exc, &sat_test, nullptr);
+      ASSERT_NE(sat_verdict, Podem::Outcome::Aborted);
       bool any = false;
       for (std::uint32_t a = 0; a < (1u << num_inputs); ++a) {
         any = any || detects(exc, a);
@@ -277,33 +306,123 @@ TEST_P(PodemExhaustive, AgreesWithBruteForce) {
       EXPECT_EQ(verdict == Podem::Outcome::Detected, any)
           << "net " << victim.value() << " faulty " << exc.faulty_value
           << " lits " << exc.lits.size();
+      EXPECT_EQ(sat_verdict == Podem::Outcome::Detected, any)
+          << "SAT, net " << victim.value() << " faulty " << exc.faulty_value
+          << " lits " << exc.lits.size();
       ++checked;
       conditioned += exc.lits.empty() ? 0 : 1;
+      const auto detects_exc = [&](std::uint32_t a) { return detects(exc, a); };
+      if (sat_verdict == Podem::Outcome::Detected) {
+        EXPECT_TRUE(every_completion(sat_test, detects_exc))
+            << "SAT test, net " << victim.value();
+      }
       if (verdict != Podem::Outcome::Detected) continue;
       ++detected;
-      // Every completion of the test's X bits must detect the fault.
-      ASSERT_EQ(test.size(), view.sources.size());
-      std::uint32_t fixed = 0;
-      std::uint32_t free = 0;
-      for (std::size_t s = 0; s < test.size(); ++s) {
-        if (test[s] == V3::X) {
-          free |= 1u << s;
-        } else if (test[s] == V3::One) {
-          fixed |= 1u << s;
-        }
-      }
-      for (std::uint32_t a = 0; a < (1u << num_inputs); ++a) {
-        if ((a & ~free) != fixed) continue;
-        EXPECT_TRUE(detects(exc, a))
-            << "net " << victim.value() << " assignment " << a;
-      }
+      EXPECT_TRUE(every_completion(test, detects_exc))
+          << "net " << victim.value();
     }
   }
   EXPECT_GT(detected, 0);
   EXPECT_GT(conditioned, 0);
+
+  // Frame-0 justification: random cubes over any nets, justifiable iff
+  // some source assignment makes every literal hold.
+  int unjustifiable = 0;
+  for (int c = 0; c < 40; ++c) {
+    std::vector<CondLiteral> cube;
+    for (int l = 0; l <= c % 3; ++l) {
+      cube.push_back({nets[rng.below(nets.size())], rng.flip(), 0});
+    }
+    const auto holds = [&](std::uint32_t a) {
+      const std::vector<V3> good = simulate(a, nullptr, nullptr);
+      return std::all_of(cube.begin(), cube.end(), [&](const CondLiteral& l) {
+        return good[l.net.value()] == v3_of(l.value);
+      });
+    };
+    bool any = false;
+    for (std::uint32_t a = 0; a < (1u << num_inputs); ++a) {
+      any = any || holds(a);
+    }
+    unjustifiable += any ? 0 : 1;
+    std::vector<V3> test;
+    const auto verdict = podem.justify(cube, &test);
+    std::vector<V3> sat_test;
+    const auto sat_verdict = sat.justify(podem.graph(), cube, &sat_test,
+                                         nullptr);
+    EXPECT_EQ(verdict == Podem::Outcome::Detected, any) << "cube " << c;
+    EXPECT_EQ(sat_verdict == Podem::Outcome::Detected, any) << "cube " << c;
+    if (verdict == Podem::Outcome::Detected) {
+      EXPECT_TRUE(every_completion(test, holds)) << "cube " << c;
+    }
+    if (sat_verdict == Podem::Outcome::Detected) {
+      EXPECT_TRUE(every_completion(sat_test, holds)) << "SAT cube " << c;
+    }
+  }
+  EXPECT_LT(unjustifiable, 40);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PodemExhaustive, ::testing::Range(0, 8));
+
+/// The CDCL solver on its own: random small CNFs against enumeration
+/// (every model must satisfy every clause), and a pigeonhole formula hard
+/// enough to run through many Luby restarts.
+TEST(SatSolver, AgreesWithBruteForce) {
+  Rng rng(31);
+  SatSolver solver;
+  for (int iter = 0; iter < 400; ++iter) {
+    const auto num_vars = static_cast<std::uint32_t>(3 + rng.below(10));
+    std::vector<std::vector<SatSolver::Lit>> clauses(num_vars *
+                                                     (2 + rng.below(4)));
+    solver.reset(num_vars);
+    for (auto& clause : clauses) {
+      for (std::uint64_t k = 0, n = 1 + rng.below(3); k < n; ++k) {
+        clause.push_back(SatSolver::lit(
+            static_cast<std::uint32_t>(rng.below(num_vars)), rng.flip()));
+      }
+      solver.add_clause(clause);
+    }
+    const auto satisfied = [&](const auto& value) {
+      return std::all_of(clauses.begin(), clauses.end(), [&](const auto& c) {
+        return std::any_of(c.begin(), c.end(), [&](SatSolver::Lit l) {
+          return value(l >> 1) == ((l & 1u) == 0);
+        });
+      });
+    };
+    bool any = false;
+    for (std::uint32_t a = 0; a < (1u << num_vars) && !any; ++a) {
+      any = satisfied([&](std::uint32_t v) { return ((a >> v) & 1u) != 0; });
+    }
+    const SatSolver::Result r = solver.solve(nullptr);
+    ASSERT_EQ(r == SatSolver::Result::Sat, any) << "instance " << iter;
+    if (any) {
+      EXPECT_TRUE(satisfied([&](std::uint32_t v) { return solver.model(v); }))
+          << "instance " << iter;
+    }
+  }
+
+  // 8 pigeons, 7 holes: variable p * 7 + h puts pigeon p in hole h.
+  constexpr std::uint32_t kPigeons = 8;
+  constexpr std::uint32_t kHoles = 7;
+  solver.reset(kPigeons * kHoles);
+  for (std::uint32_t p = 0; p < kPigeons; ++p) {
+    std::vector<SatSolver::Lit> somewhere;
+    for (std::uint32_t h = 0; h < kHoles; ++h) {
+      somewhere.push_back(SatSolver::lit(p * kHoles + h, true));
+    }
+    solver.add_clause(somewhere);
+  }
+  for (std::uint32_t h = 0; h < kHoles; ++h) {
+    for (std::uint32_t p = 0; p < kPigeons; ++p) {
+      for (std::uint32_t q = p + 1; q < kPigeons; ++q) {
+        const SatSolver::Lit both[] = {SatSolver::lit(p * kHoles + h, false),
+                                       SatSolver::lit(q * kHoles + h, false)};
+        solver.add_clause(both);
+      }
+    }
+  }
+  EXPECT_EQ(solver.solve(nullptr), SatSolver::Result::Unsat);
+  EXPECT_GT(solver.conflicts(), 1000u);
+}
 
 TEST(FaultSim, AgreesWithPodemTests) {
   // Any test PODEM generates must be confirmed by the fault simulator.
@@ -888,14 +1007,109 @@ TEST(Engine, CacheReproducesStatuses) {
   }
 }
 
-/// Pins the PODEM search on real blocks: run_atpg at the default seed
-/// with a small backtrack budget must reproduce these exact verdict
-/// counts, backtrack totals, test counts and a digest of every status
-/// and test bit. Any change to decision order, evaluation order or rng
-/// draws shows up here; a pure speed change must leave them alone.
+/// Verdicts come from PODEM or, behind its aborts, from the SAT miter:
+/// they must not depend on the backtrack budget or the rng seed, and no
+/// uncancelled run leaves a fault Aborted.
+TEST(Engine, VerdictsIndependentOfBudgetAndSeed) {
+  FlowOptions flow_options;
+  flow_options.atpg.num_threads = 1;
+  DesignFlow flow(lib(), flow_options);
+  const FlowState state =
+      flow.run_initial(build_benchmark("sparc_tlu").value()).value();
+  std::vector<FaultStatus> reference;
+  for (const std::uint64_t seed : {12345u, 2024u}) {
+    for (const long limit : {16L, 4000L}) {
+      AtpgOptions options = flow_options.atpg;
+      options.seed = seed;
+      options.backtrack_limit = limit;
+      const AtpgResult r =
+          run_atpg(state.netlist, state.universe, flow.udfm(), options);
+      EXPECT_EQ(r.num_aborted, 0u) << "seed " << seed << " limit " << limit;
+      if (reference.empty()) {
+        reference = r.status;
+        EXPECT_GT(r.counters.sat_calls, 0u);
+      } else {
+        EXPECT_EQ(r.status, reference) << "seed " << seed << " limit " << limit;
+      }
+    }
+  }
+}
+
+/// A solve cut short by cancellation proves nothing: the miter reports
+/// Aborted even for a provably undetectable fault, and a cancelled run
+/// stores nothing in the cache.
+TEST(Engine, CancelledSolveIsAbortedAndNeverCached) {
+  Fixture f;
+  const NetId a = f.nl.add_primary_input();
+  const NetId b = f.nl.add_primary_input();
+  const GateId and_g = f.add("AND2X2", {a, b});
+  const GateId or_g = f.add("OR2X2", {a, f.out(and_g)});
+  f.nl.mark_primary_output(f.out(or_g));
+  const CombView view = CombView::build(f.nl);
+  const DenseView dense = DenseView::build(f.nl, view);
+  // The absorbed AND term's SA0 is undetectable (see
+  // Engine.DuplicateFaultsMirrorRepresentative).
+  const Excitation redundant{{}, f.out(and_g), false};
+  Podem podem(dense, {0});
+  podem.detect(redundant, nullptr);
+  SatAtpg sat(dense);
+  EXPECT_EQ(sat.detect(podem.graph(), redundant, nullptr, nullptr),
+            Podem::Outcome::Undetectable);
+  CancelToken expired;
+  expired.cancel();
+  EXPECT_EQ(sat.detect(podem.graph(), redundant, nullptr, &expired),
+            Podem::Outcome::Aborted);
+
+  // Engine level: a deadline that trips while phase 2 runs every target
+  // through the SAT miter (budget 0), shortened until a run is cut so
+  // machine speed cannot let it finish. Whatever it cut, nothing is
+  // cached and nothing the complete run detects is reported
+  // undetectable.
+  FlowOptions flow_options;
+  flow_options.atpg.num_threads = 1;
+  DesignFlow flow(lib(), flow_options);
+  const FlowState state =
+      flow.run_initial(build_benchmark("sparc_ffu").value()).value();
+  AtpgOptions options = flow_options.atpg;
+  options.backtrack_limit = 0;
+  options.generate_tests = false;
+  const AtpgResult full =
+      run_atpg(state.netlist, state.universe, flow.udfm(), options);
+  ASSERT_FALSE(full.cancelled);
+  EXPECT_EQ(full.num_aborted, 0u);
+  const double full_seconds = full.counters.total_seconds();
+  AtpgResult cut;
+  FaultStatusCache cache;
+  for (const double share : {0.5, 0.25, 0.0}) {
+    CancelToken deadline = CancelToken::with_deadline(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::duration<double>(share * full_seconds)));
+    options.cancel = &deadline;
+    cache.map.clear();
+    cut = run_atpg(state.netlist, state.universe, flow.udfm(), options,
+                   &cache);
+    if (cut.cancelled) break;
+  }
+  ASSERT_TRUE(cut.cancelled);
+  EXPECT_TRUE(cache.map.empty());
+  for (std::size_t i = 0; i < cut.status.size(); ++i) {
+    if (cut.status[i] == FaultStatus::Undetectable) {
+      EXPECT_EQ(full.status[i], FaultStatus::Undetectable) << i;
+    }
+  }
+}
+
+/// Pins the PODEM search and the SAT miter behind it on real blocks:
+/// run_atpg at the default seed with a small backtrack budget must
+/// reproduce these exact verdict counts, backtrack totals, SAT call and
+/// conflict totals, test counts and a digest of every status and test
+/// bit. Any change to decision order, evaluation order, the CNF encoding
+/// or rng draws shows up here; a pure speed change must leave them alone.
 struct PinnedRun {
   const char* block;
   std::uint64_t backtracks;
+  std::uint64_t sat_calls;
+  std::uint64_t sat_conflicts;
   std::size_t detected;
   std::size_t undetectable;
   std::size_t aborted;
@@ -935,6 +1149,8 @@ TEST_P(PinnedSearch, ReproducesVerdictsAndBacktracks) {
   const AtpgResult r =
       run_atpg(state.netlist, state.universe, flow.udfm(), options);
   EXPECT_EQ(r.counters.podem_backtracks, pin.backtracks);
+  EXPECT_EQ(r.counters.sat_calls, pin.sat_calls);
+  EXPECT_EQ(r.counters.sat_conflicts, pin.sat_conflicts);
   EXPECT_EQ(r.num_detected, pin.detected);
   EXPECT_EQ(r.num_undetectable, pin.undetectable);
   EXPECT_EQ(r.num_aborted, pin.aborted);
@@ -944,10 +1160,10 @@ TEST_P(PinnedSearch, ReproducesVerdictsAndBacktracks) {
 
 INSTANTIATE_TEST_SUITE_P(
     Blocks, PinnedSearch,
-    ::testing::Values(PinnedRun{"sparc_ffu", 18363, 14283, 31, 322, 244,
-                                11250561641288897083ull},
-                      PinnedRun{"sparc_tlu", 1647, 3643, 72, 26, 160,
-                                18393076336627579593ull}),
+    ::testing::Values(PinnedRun{"sparc_ffu", 17874, 287, 2575, 14316, 320, 0,
+                                250, 10012770089142975350ull},
+                      PinnedRun{"sparc_tlu", 1371, 19, 146, 3651, 90, 0, 153,
+                                12407970115796060017ull}),
     [](const auto& info) { return std::string(info.param.block); });
 
 }  // namespace

@@ -198,5 +198,20 @@ TEST(Resynthesis, FunctionIsPreserved) {
   }
 }
 
+/// With complete verdicts, sparc_lsu's backtracking sub-regions include a
+/// non-convex one whose re-mapping would close a combinational cycle
+/// through logic outside the region. Such a candidate must be rejected
+/// like an unmappable one, not handed to the analysis (which would abort).
+TEST(Resynthesis, RejectsCandidatesThatCloseACycle) {
+  DesignFlow flow(osu018_library(), FlowOptions{});
+  const FlowState original =
+      flow.run_initial(build_benchmark("sparc_lsu").value()).value();
+  const ResynthesisResult result =
+      resynthesize(flow, original, ResynthesisOptions{}).value();
+  EXPECT_FALSE(result.state.netlist.has_combinational_cycle());
+  EXPECT_TRUE(result.state.netlist.validate().empty());
+  EXPECT_LT(result.state.num_undetectable(), original.num_undetectable());
+}
+
 }  // namespace
 }  // namespace dfmres

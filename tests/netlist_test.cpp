@@ -55,6 +55,22 @@ TEST_F(NetlistTest, TopologicalOrderRespectsDependencies) {
   EXPECT_LT(pos(g2), pos(g3));
 }
 
+TEST_F(NetlistTest, CombinationalCycleIsReportedWithoutAborting) {
+  const NetId a = nl_.add_primary_input();
+  const GateId nand = add("NAND2X1", {a, a});
+  nl_.mark_primary_output(nl_.gate(nand).outputs[0]);
+  EXPECT_FALSE(nl_.has_combinational_cycle());
+
+  // An inverter fed by the NAND drives a net the NAND then reads.
+  const NetId loop = nl_.add_net();
+  const std::vector<NetId> ins{nl_.gate(nand).outputs[0]};
+  const std::vector<NetId> outs{loop};
+  nl_.add_gate_driving(lib_->require("INVX1"), ins, outs);
+  nl_.rewire_fanin(nand, 1, loop);
+  EXPECT_TRUE(nl_.has_combinational_cycle());
+  EXPECT_FALSE(nl_.validate().empty());
+}
+
 TEST_F(NetlistTest, SequentialGatesAreOrderBoundaries) {
   const NetId a = nl_.add_primary_input();
   const GateId inv = add("INVX1", {a});

@@ -217,9 +217,9 @@ TEST(OverlayHeavy, Tv80ResynthesisBitIdentical) {
   const Run with = run(true);
   const Run without = run(false);
 
-  // PODEM aborts at the backtrack limit are deterministic, so identical
-  // runs abort on identical faults — covered fault-by-fault below, and
-  // summarized here first for a readable failure.
+  // Only cancellation leaves a fault Aborted, so both runs report the
+  // same (zero) count — covered fault-by-fault below, and summarized here
+  // first for a readable failure.
   EXPECT_EQ(with.state.atpg.num_aborted, without.state.atpg.num_aborted);
   EXPECT_EQ(accepted_trace(with.report), accepted_trace(without.report));
   EXPECT_EQ(with.state.num_undetectable(), without.state.num_undetectable());

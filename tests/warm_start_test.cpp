@@ -4,10 +4,10 @@
 // must be identical to the cold serial reference. These tests pin that
 // contract on full pipelines over two different seed blocks.
 //
-// Bit-identical status comparison is only meaningful when no fault hits
-// the PODEM backtrack limit (an Aborted in one mode can be a Detected in
-// the other without changing U, %Smax or coverage), so every identity
-// test also asserts num_aborted == 0.
+// Bit-identical status comparison needs every fault to have a verdict.
+// PODEM hands each search it aborts to the SAT miter, so only a
+// cancelled run can leave a fault Aborted; every identity test still
+// asserts num_aborted == 0 to keep that guarantee in view.
 
 #include <gtest/gtest.h>
 
@@ -55,7 +55,7 @@ Netlist block_b() {
 FlowOptions flow_options(bool warm, int threads) {
   FlowOptions options;
   options.atpg.random_batches = 4;
-  options.atpg.backtrack_limit = 4000;  // high enough: no aborts on these
+  options.atpg.backtrack_limit = 4000;  // speed only: verdicts do not move
   options.atpg.num_threads = threads;
   options.warm_start = warm;
   return options;
