@@ -163,7 +163,7 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   Rng rng(options.seed);
 
   const auto cached_lookup = [&](const Fault& f) {
-    if (updates) {
+    if (updates && updates != base) {
       const FaultStatus s = updates->lookup(f);
       if (s != FaultStatus::Unknown) return s;
     }
@@ -179,37 +179,52 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
            (*options.cone_untouched)[i] != 0;
   };
 
-  // Pre-build excitations; resolve trivially undetectable and cached
-  // faults immediately.
+  // Resolve every fault by one cache lookup, then pre-build excitations
+  // for the rest; faults with none are trivially undetectable.
   std::vector<std::vector<Excitation>> excitations(universe.size());
   std::vector<std::uint32_t> targets;  // indices still needing work
   // Distinct physical violations can induce the same logic fault (e.g.
   // several weak vias on one net); classify one representative per key
-  // and mirror the verdict onto the duplicates at the end.
-  std::unordered_map<Fault::Key, std::uint32_t> representative;
+  // and mirror the verdict onto the duplicates at the end. Every copy of
+  // a key gets the same cached verdict, so deduping only the faults the
+  // cache leaves open picks the same representatives as deduping all.
   std::vector<std::uint32_t> mirror_of(universe.size(),
                                        std::numeric_limits<std::uint32_t>::max());
-  for (std::uint32_t i = 0; i < universe.size(); ++i) {
-    const Fault& f = universe.faults[i];
-    const auto [it, inserted] = representative.emplace(f.key(), i);
-    if (!inserted) {
-      mirror_of[i] = it->second;
-      continue;
+  // Representatives the cache left open: the only verdicts this run
+  // computes, and so the only ones it stores.
+  std::vector<std::uint32_t> fresh;
+  {
+    TraceSpan resolve_span("atpg.resolve", "atpg");
+    FaultKeyMap<std::uint32_t> representative;
+    for (std::uint32_t i = 0; i < universe.size(); ++i) {
+      const Fault& f = universe.faults[i];
+      const FaultStatus cached = cached_lookup(f);
+      if (cached == FaultStatus::Undetectable ||
+          cached == FaultStatus::Aborted ||
+          (cached == FaultStatus::Detected && !options.generate_tests)) {
+        result.status[i] = cached;
+        ++result.counters.cache_hits;
+        continue;
+      }
+      const auto [rep, inserted] = representative.try_emplace(f.key(), i);
+      if (!inserted) {
+        mirror_of[i] = *rep;
+        continue;
+      }
+      fresh.push_back(i);
+      excitations[i] = build_excitations(f, nl, udfm);
+      if (excitations[i].empty()) {
+        // Not excitable even at the cell boundary: undetectable by
+        // construction (counted in U like any other fault).
+        result.status[i] = FaultStatus::Undetectable;
+        continue;
+      }
+      targets.push_back(i);
     }
-    const FaultStatus cached = cached_lookup(f);
-    if (cached == FaultStatus::Undetectable || cached == FaultStatus::Aborted ||
-        (cached == FaultStatus::Detected && !options.generate_tests)) {
-      result.status[i] = cached;
-      continue;
+    if (resolve_span.active()) {
+      resolve_span.arg("cache_hits", result.counters.cache_hits);
+      resolve_span.arg("fresh", static_cast<std::uint64_t>(fresh.size()));
     }
-    excitations[i] = build_excitations(f, nl, udfm);
-    if (excitations[i].empty()) {
-      // Not excitable even at the cell boundary: undetectable by
-      // construction (counted in U like any other fault).
-      result.status[i] = FaultStatus::Undetectable;
-      continue;
-    }
-    targets.push_back(i);
   }
 
   std::vector<TestPattern> tests;
@@ -589,12 +604,16 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
       case FaultStatus::Aborted: ++result.num_aborted; break;
       case FaultStatus::Unknown: ++result.counters.cancelled_targets; break;
     }
-    // A cancelled run stores nothing: its Unknowns (and any Aborted
-    // produced by the cut-short searches) must not clobber cached
-    // verdicts from complete runs.
-    if (updates && !result.cancelled) {
+  }
+  // Only fresh verdicts are stored; the rest came from the cache. A
+  // cancelled run stores nothing: its Unknowns (and any Aborted produced
+  // by the cut-short searches) must not clobber cached verdicts from
+  // complete runs.
+  if (updates && !result.cancelled) {
+    for (const std::uint32_t i : fresh) {
       updates->store(universe.faults[i], result.status[i]);
     }
+    result.counters.cache_stores = fresh.size();
   }
   return result;
 }

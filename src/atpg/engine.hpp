@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/atpg/fault_sim.hpp"
@@ -24,14 +23,12 @@ enum class FaultStatus : std::uint8_t {
 /// procedure's rewrites are function-preserving and net/gate ids are
 /// never reused: a fault outside the rewritten region keeps its
 /// excitation, propagation, and therefore its status (see DESIGN.md).
-struct FaultStatusCache {
-  std::unordered_map<Fault::Key, FaultStatus> map;
-
+struct FaultStatusCache : FaultKeyMap<FaultStatus> {
   [[nodiscard]] FaultStatus lookup(const Fault& f) const {
-    const auto it = map.find(f.key());
-    return it == map.end() ? FaultStatus::Unknown : it->second;
+    const FaultStatus* s = find(f.key());
+    return s == nullptr ? FaultStatus::Unknown : *s;
   }
-  void store(const Fault& f, FaultStatus s) { map[f.key()] = s; }
+  void store(const Fault& f, FaultStatus s) { insert_or_assign(f.key(), s); }
 };
 
 struct AtpgOptions {
@@ -128,10 +125,12 @@ struct AtpgResult {
 
 /// Split-cache variant for speculative evaluations running concurrently
 /// over a shared memo: lookups consult `updates` first and fall back to
-/// the read-only `base`; stores go to `updates` only. Several callers
-/// may share one `base` (concurrent reads of an unmodified map are
-/// safe) while each owns a private `updates` overlay; the caller
-/// decides which overlays to fold back into the base.
+/// the read-only `base`; stores go to `updates` only, and only for the
+/// verdicts this run computed (a fault either cache resolved is not
+/// copied). Several callers may share one `base` (concurrent reads of an
+/// unmodified table are safe) while each owns a private `updates`
+/// overlay; the caller decides which overlays to fold back into the
+/// base.
 [[nodiscard]] AtpgResult run_atpg_overlay(const Netlist& nl,
                                           const FaultUniverse& universe,
                                           const UdfmMap& udfm,

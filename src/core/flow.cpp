@@ -157,16 +157,24 @@ Expected<FlowState> DesignFlow::probe_reanalyze_impl(
     AtpgCounters* counters) const {
   if (cancel_expired(cancel)) return cancel->to_status();
   TraceSpan probe_span("flow.probe", "flow");
+  // Stage spans as in analyze_committed, under probe-only names so the
+  // committed flow.* stage totals keep counting committed work only.
+  std::optional<TraceSpan> stage;
+  stage.emplace("flow.probe.place", "flow");
   auto placement = incremental_place(netlist, previous);
   if (!placement) {
     return make_status(StatusCode::kUnsatisfiable,
                        "probe: die cannot absorb the edit to '%s'",
                        netlist.name().c_str());
   }
+  stage.emplace("flow.probe.route", "flow");
   RoutingResult routing = route(netlist, *placement, options_.route);
+  stage.emplace("flow.probe.sta", "flow");
   TimingPower timing = analyze_timing_power(netlist, routing, options_.sta);
+  stage.emplace("flow.probe.extract", "flow");
   FaultUniverse universe =
       extract_dfm_faults(netlist, *placement, routing, udfm_);
+  stage.reset();
   AtpgOptions atpg_options = options_.atpg;
   atpg_options.generate_tests = generate_tests;
   atpg_options.arena = arena;
@@ -187,8 +195,10 @@ Expected<FlowState> DesignFlow::probe_reanalyze_impl(
   progress.probes_committed.fetch_add(1, std::memory_order_relaxed);
   progress.faults_classified.fetch_add(universe.size(),
                                        std::memory_order_relaxed);
+  stage.emplace("flow.probe.cluster", "flow");
   ClusterAnalysis clusters =
       cluster_undetectable(netlist, universe, atpg.status);
+  stage.reset();
   return FlowState{std::move(netlist), std::move(*placement),
                    std::move(routing), std::move(timing),
                    std::move(universe), std::move(atpg),
@@ -201,7 +211,10 @@ Expected<std::size_t> DesignFlow::probe_count_impl(
     const CancelToken* cancel, AtpgCounters* counters) const {
   if (cancel_expired(cancel)) return cancel->to_status();
   TraceSpan probe_span("flow.u_in_probe", "flow");
-  const FaultUniverse internal = extract_internal_faults(nl, udfm_);
+  const FaultUniverse internal = [&] {
+    TraceSpan span("flow.u_in_probe.extract", "flow");
+    return extract_internal_faults(nl, udfm_);
+  }();
   AtpgOptions atpg_options = options_.atpg;
   atpg_options.generate_tests = false;
   atpg_options.arena = arena;
@@ -249,7 +262,9 @@ void DesignFlow::rebase_overlays(const Netlist& nl) {
 }
 
 void DesignFlow::commit_updates(const FaultStatusCache& updates) {
-  for (const auto& [key, status] : updates.map) cache_.map[key] = status;
+  for (const auto& [key, status] : updates) {
+    cache_.insert_or_assign(key, status);
+  }
 }
 
 std::vector<std::uint8_t> DesignFlow::cone_untouched_flags(

@@ -455,8 +455,8 @@ class Procedure {
                       structural_hash(candidate, 0x13198A2E03707344ULL)));
   }
 
-  /// Folds a finished probe session's load economics into the report
-  /// (the only place probe-side fault-sim counters surface: sessions
+  /// Folds a finished probe session's load and cache economics into the
+  /// report (the only place probe-side ATPG counters surface: sessions
   /// here are never handed to commit_probe). Callers on pool lanes must
   /// hold the ladder mutex — report_ is shared.
   void absorb_probe_counters(const ProbeSession& session) {
@@ -465,6 +465,8 @@ class Procedure {
     report_.probe_full_loads += c.full_loads;
     report_.probe_overlay_loads += c.overlay_loads;
     report_.probe_load_seconds += c.load_seconds;
+    report_.probe_cache_hits += c.cache_hits;
+    report_.probe_cache_stores += c.cache_stores;
   }
 
   /// Evaluates a candidate's metrics, memoized across the q sweep.

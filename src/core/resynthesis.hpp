@@ -111,6 +111,11 @@ struct ResynthesisReport {
   std::uint64_t probe_full_loads = 0;
   std::uint64_t probe_overlay_loads = 0;
   double probe_load_seconds = 0.0;
+  /// Probe-side fault-status cache work: faults resolved by a lookup in
+  /// the committed cache or the session overlay, and the fresh verdicts
+  /// written to the overlay.
+  std::uint64_t probe_cache_hits = 0;
+  std::uint64_t probe_cache_stores = 0;
 };
 
 struct ResynthesisResult {

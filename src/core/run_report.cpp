@@ -139,6 +139,8 @@ std::string RunReport::to_json() const {
     w.field("probe_full_loads", r.probe_full_loads);
     w.field("probe_overlay_loads", r.probe_overlay_loads);
     w.field("probe_load_seconds", r.probe_load_seconds);
+    w.field("probe_cache_hits", r.probe_cache_hits);
+    w.field("probe_cache_stores", r.probe_cache_stores);
     w.end_object();
     w.key("phase_seconds");
     w.begin_object();
@@ -205,6 +207,8 @@ void publish_metrics(const ResynthesisReport& report,
   registry.add("resyn.probe_full_loads", report.probe_full_loads);
   registry.add("resyn.probe_overlay_loads", report.probe_overlay_loads);
   registry.observe("resyn.probe_load_seconds", report.probe_load_seconds);
+  registry.add("resyn.probe_cache_hits", report.probe_cache_hits);
+  registry.add("resyn.probe_cache_stores", report.probe_cache_stores);
   registry.observe("resyn.build_seconds", report.build_seconds);
   registry.observe("resyn.u_in_seconds", report.u_in_seconds);
   registry.observe("resyn.probe_seconds", report.probe_seconds);

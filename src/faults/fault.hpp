@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/util/ids.hpp"
@@ -66,20 +68,89 @@ struct Fault {
 [[nodiscard]] std::vector<GateId> corresponding_gates(const Fault& fault,
                                                       const Netlist& nl);
 
-struct FaultKeyHash {
-  std::size_t operator()(const Fault::Key& k) const {
-    std::size_t h = k.kind * 0x9e3779b97f4a7c15ULL;
-    const auto mix = [&h](std::uint64_t v) {
-      h ^= (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-    };
-    mix(k.bridge_type);
-    mix(k.victim);
-    mix(k.aggressor);
-    mix(k.owner);
-    mix(k.udfm_index);
-    mix(k.value);
-    return h;
+/// Flat hash map keyed by Fault::Key. Entries live in a dense vector in
+/// insertion order (iteration visits each key once, in first-insertion
+/// order); a power-of-two index of uint32_t slots (0 = empty, else entry
+/// position + 1) is probed linearly and kept at most half full. The
+/// fault-status memo and the engine's duplicate-fault dedupe both run
+/// one lookup per fault of every analysis through this table.
+template <typename V>
+class FaultKeyMap {
+ public:
+  struct Entry {
+    Fault::Key key;
+    V value;
+  };
+
+  [[nodiscard]] const V* find(const Fault::Key& key) const {
+    if (entries_.empty()) return nullptr;
+    for (std::size_t s = slot_of(key);; s = (s + 1) & mask()) {
+      const std::uint32_t e = index_[s];
+      if (e == 0) return nullptr;
+      if (entries_[e - 1].key == key) return &entries_[e - 1].value;
+    }
   }
+
+  /// Inserts {key, value} unless `key` is present; returns the mapped
+  /// value and whether it was inserted.
+  std::pair<V*, bool> try_emplace(const Fault::Key& key, V value) {
+    if (2 * (entries_.size() + 1) > index_.size()) rehash(2 * index_.size());
+    std::size_t s = slot_of(key);
+    for (;; s = (s + 1) & mask()) {
+      const std::uint32_t e = index_[s];
+      if (e == 0) break;
+      if (entries_[e - 1].key == key) return {&entries_[e - 1].value, false};
+    }
+    entries_.push_back({key, value});
+    index_[s] = static_cast<std::uint32_t>(entries_.size());
+    return {&entries_.back().value, true};
+  }
+
+  void insert_or_assign(const Fault::Key& key, V value) {
+    const auto [slot, inserted] = try_emplace(key, value);
+    if (!inserted) *slot = value;
+  }
+
+  [[nodiscard]] auto begin() const { return entries_.begin(); }
+  [[nodiscard]] auto end() const { return entries_.end(); }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  void clear() {
+    entries_.clear();
+    index_.clear();
+  }
+
+ private:
+  [[nodiscard]] std::size_t mask() const { return index_.size() - 1; }
+
+  /// One multiplicative mix over the packed key fields; the slot is the
+  /// top log2(capacity) bits of the product.
+  [[nodiscard]] std::size_t slot_of(const Fault::Key& k) const {
+    constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+    const std::uint64_t a = k.victim | std::uint64_t{k.aggressor} << 32;
+    const std::uint64_t b = k.owner | std::uint64_t{k.udfm_index} << 32;
+    const std::uint64_t c = k.kind | std::uint64_t{k.bridge_type} << 8 |
+                            std::uint64_t{k.value} << 16;
+    std::uint64_t h = a * kMul;
+    h = (h ^ (h >> 32) ^ b) * kMul;
+    h = (h ^ (h >> 32) ^ c) * kMul;
+    return static_cast<std::size_t>(h >> shift_);
+  }
+
+  void rehash(std::size_t capacity) {
+    capacity = std::max<std::size_t>(capacity, 16);
+    index_.assign(capacity, 0);
+    shift_ = 64 - std::countr_zero(capacity);
+    for (std::size_t e = 0; e < entries_.size(); ++e) {
+      std::size_t s = slot_of(entries_[e].key);
+      while (index_[s] != 0) s = (s + 1) & mask();
+      index_[s] = static_cast<std::uint32_t>(e + 1);
+    }
+  }
+
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> index_;
+  int shift_ = 64;
 };
 
 /// The complete DFM fault universe of one placed-and-routed netlist.
@@ -95,12 +166,3 @@ struct FaultUniverse {
 };
 
 }  // namespace dfmres
-
-namespace std {
-template <>
-struct hash<dfmres::Fault::Key> {
-  size_t operator()(const dfmres::Fault::Key& k) const {
-    return dfmres::FaultKeyHash{}(k);
-  }
-};
-}  // namespace std

@@ -55,6 +55,8 @@ void MetricsRegistry::absorb(const AtpgCounters& counters,
   add(p + "podem_backtracks", counters.podem_backtracks);
   add(p + "sat_calls", counters.sat_calls);
   add(p + "sat_conflicts", counters.sat_conflicts);
+  add(p + "cache_hits", counters.cache_hits);
+  add(p + "cache_stores", counters.cache_stores);
   add(p + "replay_drops", counters.replay_drops);
   add(p + "podem_targets_skipped", counters.podem_targets_skipped);
   add(p + "cancelled_targets", counters.cancelled_targets);

@@ -76,6 +76,8 @@ void AtpgCounters::merge(const AtpgCounters& other) {
   sat_calls += other.sat_calls;
   sat_conflicts += other.sat_conflicts;
   sat_seconds += other.sat_seconds;
+  cache_hits += other.cache_hits;
+  cache_stores += other.cache_stores;
   replay_drops += other.replay_drops;
   podem_targets_skipped += other.podem_targets_skipped;
   cancelled_targets += other.cancelled_targets;
@@ -98,6 +100,7 @@ std::string AtpgCounters::summary() const {
   return strfmt(
       "atpg: %llu patterns, %llu detect_mask calls, %llu prop events, "
       "%llu backtracks, %llu sat calls (%llu conflicts, %.3fs), "
+      "%llu cache hits, %llu cache stores, "
       "%llu replay drops, %llu podem skips, "
       "%llu cancelled, loads %llu full + %llu overlay (%llu frame bytes), "
       "phases %.3f/%.3f/%.3f/%.3fs, %d thread%s, W=%d lanes",
@@ -107,6 +110,8 @@ std::string AtpgCounters::summary() const {
       static_cast<unsigned long long>(podem_backtracks),
       static_cast<unsigned long long>(sat_calls),
       static_cast<unsigned long long>(sat_conflicts), sat_seconds,
+      static_cast<unsigned long long>(cache_hits),
+      static_cast<unsigned long long>(cache_stores),
       static_cast<unsigned long long>(replay_drops),
       static_cast<unsigned long long>(podem_targets_skipped),
       static_cast<unsigned long long>(cancelled_targets),
@@ -122,7 +127,8 @@ std::string AtpgCounters::json() const {
       "{\"patterns_simulated\": %llu, \"detect_mask_calls\": %llu, "
       "\"propagation_events\": %llu, \"podem_backtracks\": %llu, "
       "\"sat_calls\": %llu, \"sat_conflicts\": %llu, "
-      "\"sat_seconds\": %.6f, \"replay_drops\": %llu, "
+      "\"sat_seconds\": %.6f, \"cache_hits\": %llu, "
+      "\"cache_stores\": %llu, \"replay_drops\": %llu, "
       "\"podem_targets_skipped\": %llu, \"cancelled_targets\": %llu, "
       "\"frame_bytes_materialized\": %llu, \"full_loads\": %llu, "
       "\"overlay_loads\": %llu, \"overlay_dirty_nets\": %llu, "
@@ -137,6 +143,8 @@ std::string AtpgCounters::json() const {
       static_cast<unsigned long long>(podem_backtracks),
       static_cast<unsigned long long>(sat_calls),
       static_cast<unsigned long long>(sat_conflicts), sat_seconds,
+      static_cast<unsigned long long>(cache_hits),
+      static_cast<unsigned long long>(cache_stores),
       static_cast<unsigned long long>(replay_drops),
       static_cast<unsigned long long>(podem_targets_skipped),
       static_cast<unsigned long long>(cancelled_targets),

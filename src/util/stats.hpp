@@ -56,6 +56,8 @@ struct AtpgCounters {
   std::uint64_t podem_backtracks = 0;     ///< deterministic-search backtracks
   std::uint64_t sat_calls = 0;            ///< SAT solves behind PODEM aborts
   std::uint64_t sat_conflicts = 0;        ///< CDCL conflicts over those solves
+  std::uint64_t cache_hits = 0;           ///< faults resolved by the cache
+  std::uint64_t cache_stores = 0;         ///< fresh verdicts stored
   std::uint64_t replay_drops = 0;         ///< faults dropped by seed replay
   std::uint64_t podem_targets_skipped = 0;///< cone-untouched cached targets
   std::uint64_t cancelled_targets = 0;    ///< left Unknown by cancellation

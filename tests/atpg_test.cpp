@@ -1007,6 +1007,104 @@ TEST(Engine, CacheReproducesStatuses) {
   }
 }
 
+TEST(FaultStatusCache, FlatTableSemantics) {
+  FaultStatusCache cache;
+  Fault f;
+  f.kind = FaultKind::Bridge;
+  f.victim = NetId(3);
+  f.aggressor = NetId(4);
+  EXPECT_EQ(cache.lookup(f), FaultStatus::Unknown);
+  EXPECT_TRUE(cache.empty());
+  cache.store(f, FaultStatus::Detected);
+  EXPECT_EQ(cache.lookup(f), FaultStatus::Detected);
+  cache.store(f, FaultStatus::Undetectable);  // overwrite in place
+  EXPECT_EQ(cache.lookup(f), FaultStatus::Undetectable);
+  EXPECT_EQ(cache.size(), 1u);
+  Fault guideline_only = f;  // not part of the key
+  guideline_only.guideline = 9;
+  EXPECT_EQ(cache.lookup(guideline_only), FaultStatus::Undetectable);
+
+  // Keys that differ from `f` in exactly one field stay distinct.
+  std::vector<Fault> variants(7, f);
+  variants[0].kind = FaultKind::StuckAt;
+  variants[1].bridge_type = BridgeType::DomOr;
+  variants[2].victim = NetId(5);
+  variants[3].aggressor = NetId(3);
+  variants[4].owner = GateId(0);
+  variants[5].udfm_index = 1;
+  variants[6].value = true;
+  for (const Fault& v : variants) {
+    EXPECT_EQ(cache.lookup(v), FaultStatus::Unknown);
+    cache.store(v, FaultStatus::Aborted);
+  }
+  EXPECT_EQ(cache.size(), 8u);
+  EXPECT_EQ(cache.lookup(f), FaultStatus::Undetectable);
+
+  // Far more keys than the initial table, through several grows; every
+  // status survives each rehash.
+  cache.clear();
+  EXPECT_TRUE(cache.empty());
+  EXPECT_EQ(cache.lookup(f), FaultStatus::Unknown);
+  constexpr std::uint32_t kKeys = 12000;
+  const auto key_fault = [](std::uint32_t i) {
+    Fault k;
+    k.kind = FaultKind::CellAware;
+    k.victim = NetId(i / 8);
+    k.owner = GateId(i / 8);
+    k.udfm_index = i % 8;
+    return k;
+  };
+  const auto status_of = [](std::uint32_t i) {
+    return static_cast<FaultStatus>(1 + i % 3);
+  };
+  for (std::uint32_t i = 0; i < kKeys; ++i) {
+    cache.store(key_fault(i), status_of(i));
+  }
+  ASSERT_EQ(cache.size(), kKeys);
+  for (std::uint32_t i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(cache.lookup(key_fault(i)), status_of(i)) << i;
+  }
+  // Iteration visits each key once, in insertion order.
+  std::uint32_t visited = 0;
+  for (const auto& [key, status] : cache) {
+    ASSERT_EQ(key, key_fault(visited).key()) << visited;
+    EXPECT_EQ(status, status_of(visited));
+    ++visited;
+  }
+  EXPECT_EQ(visited, kKeys);
+}
+
+/// A probe overlay records only the verdicts its own run computed: over
+/// a base cache that already classifies every fault, an overlay run
+/// reproduces the statuses from lookups and stores nothing.
+TEST(Engine, ProbeOverlayHoldsOnlyFreshVerdicts) {
+  FlowOptions flow_options;
+  flow_options.atpg.num_threads = 1;
+  DesignFlow flow(lib(), flow_options);
+  const FlowState state =
+      flow.run_initial(build_benchmark("sparc_tlu").value()).value();
+  const std::size_t num_faults = state.universe.size();
+
+  FaultStatusCache base;
+  const AtpgResult filled = run_atpg(state.netlist, state.universe,
+                                     flow.udfm(), flow_options.atpg, &base);
+  ASSERT_FALSE(filled.cancelled);
+  EXPECT_EQ(filled.counters.cache_hits, 0u);
+  // One store per distinct key: duplicates share their representative's.
+  EXPECT_EQ(filled.counters.cache_stores, base.size());
+  EXPECT_LE(base.size(), num_faults);
+
+  AtpgOptions options = flow_options.atpg;
+  options.generate_tests = false;
+  FaultStatusCache updates;
+  const AtpgResult probe = run_atpg_overlay(
+      state.netlist, state.universe, flow.udfm(), options, &base, &updates);
+  EXPECT_EQ(probe.status, filled.status);
+  EXPECT_TRUE(updates.empty());
+  EXPECT_EQ(probe.counters.cache_hits, num_faults);
+  EXPECT_EQ(probe.counters.cache_stores, 0u);
+}
+
 /// Verdicts come from PODEM or, behind its aborts, from the SAT miter:
 /// they must not depend on the backtrack budget or the rng seed, and no
 /// uncancelled run leaves a fault Aborted.
@@ -1085,13 +1183,13 @@ TEST(Engine, CancelledSolveIsAbortedAndNeverCached) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::duration<double>(share * full_seconds)));
     options.cancel = &deadline;
-    cache.map.clear();
+    cache.clear();
     cut = run_atpg(state.netlist, state.universe, flow.udfm(), options,
                    &cache);
     if (cut.cancelled) break;
   }
   ASSERT_TRUE(cut.cancelled);
-  EXPECT_TRUE(cache.map.empty());
+  EXPECT_TRUE(cache.empty());
   for (std::size_t i = 0; i < cut.status.size(); ++i) {
     if (cut.status[i] == FaultStatus::Undetectable) {
       EXPECT_EQ(full.status[i], FaultStatus::Undetectable) << i;

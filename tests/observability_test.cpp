@@ -391,6 +391,51 @@ FlowOptions fast_options() {
   return options;
 }
 
+/// The probe stage spans tile the speculative analyses: every
+/// flow.probe.* stage span nests directly under a flow.probe span, the
+/// u_in extraction under flow.u_in_probe, and the report accounts for
+/// the probes' cache work.
+TEST(Trace, ResynthesisProbeStagesNestUnderTheirProbe) {
+  DesignFlow flow(osu018_library(), fast_options());
+  const FlowState original = flow.run_initial(small_block()).value();
+  ResynthesisOptions options;
+  options.q_max = 1;
+  options.max_iterations_per_phase = 2;
+  ResynthesisReport report;
+  std::vector<TraceEvent> events;
+  {
+    ScopedTracing tracing;
+    report = resynthesize(flow, original, options).value().report;
+    events = Tracer::instance().snapshot();
+  }
+  ASSERT_GT(report.full_probes, 0u);
+  EXPECT_GT(report.probe_cache_hits, 0u);
+  EXPECT_GT(report.probe_cache_stores, 0u);
+
+  std::map<std::uint64_t, std::string_view> name_of;
+  for (const TraceEvent& e : events) name_of[e.id] = e.name;
+  std::map<std::string_view, std::size_t> nested;
+  for (const TraceEvent& e : events) {
+    const std::string_view name = e.name;
+    const auto parent = name_of.find(e.parent);
+    const std::string_view parent_name =
+        parent == name_of.end() ? std::string_view{} : parent->second;
+    if (name.starts_with("flow.probe.")) {
+      EXPECT_EQ(parent_name, "flow.probe") << name;
+      ++nested[name];
+    } else if (name == "flow.u_in_probe.extract") {
+      EXPECT_EQ(parent_name, "flow.u_in_probe");
+      ++nested[name];
+    } else if (name == "atpg.resolve") {
+      EXPECT_EQ(parent_name, "atpg.run");
+      ++nested[name];
+    }
+  }
+  EXPECT_GT(nested["flow.probe.extract"], 0u);
+  EXPECT_GT(nested["flow.u_in_probe.extract"], 0u);
+  EXPECT_GT(nested["atpg.resolve"], 0u);
+}
+
 TEST(RunReportTest, DeadlineExpiryProducesPartialReport) {
   DesignFlow flow(osu018_library(), fast_options());
   const FlowState original = flow.run_initial(small_block()).value();
