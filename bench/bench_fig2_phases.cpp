@@ -17,33 +17,13 @@ int main() {
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   BenchObservability obs("fig2_phases");
   const auto circuits = selected_circuits({"tv80"});
-  // The blocks run through the campaign scheduler (DFMRES_BENCH_JOBS in
-  // flight); each trace below is bit-identical to a standalone run.
-  CampaignManifest manifest;
   for (const auto& name : circuits) {
-    CampaignJobSpec job;
-    job.name = name;
-    job.design = name;
-    job.flow = bench_flow_options();
-    job.resyn = bench_resyn_options();
-    manifest.jobs.push_back(std::move(job));
-  }
-  CampaignOptions campaign_options;
-  campaign_options.max_parallel_jobs = bench_jobs();
-  const CampaignResult sweep = run_campaign(manifest, campaign_options).value();
-  for (const CampaignJobResult& jobres : sweep.jobs) {
-    const std::string& name = jobres.name;
-    if (!jobres.ok()) {
-      std::fprintf(stderr, "block '%s' failed: %s\n", name.c_str(),
-                   jobres.status.to_string().c_str());
-      return 1;
-    }
-    const FlowState& original = *jobres.initial;
-    struct {
-      const FlowState& state;
-      const ResynthesisReport& report;
-    } result{*jobres.final_state, *jobres.resyn};
-    obs.absorb(jobres.atpg_totals);
+    DesignFlow flow(osu018_library(), bench_flow_options());
+    const FlowState original =
+        flow.run_initial(build_benchmark(name).value()).value();
+    const ResynthesisResult result =
+        resynthesize(flow, original, bench_resyn_options()).value();
+    obs.absorb(flow.atpg_totals());
     obs.absorb(result.report);
     obs.set_final(result.state);
 

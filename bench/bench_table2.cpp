@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,53 +65,29 @@ struct BlockRun {
   double resyn_seconds = 0.0;
 };
 
-/// The sweep as a campaign manifest: one resyn job per block, each
-/// carrying the bench options (optionally in the cold reference
-/// configuration).
-CampaignManifest sweep_manifest(const std::vector<std::string>& circuits,
-                                bool cold) {
-  CampaignManifest manifest;
-  for (const auto& name : circuits) {
-    CampaignJobSpec job;
-    job.name = name;
-    job.design = name;
-    job.flow = bench_flow_options();
-    job.resyn = bench_resyn_options();
-    if (cold) apply_cold_mode(job.flow, job.resyn);
-    manifest.jobs.push_back(std::move(job));
-  }
-  return manifest;
-}
-
-/// Runs the sweep through the campaign scheduler, DFMRES_BENCH_JOBS
-/// blocks in flight. Aborts (value()) on campaign- or job-level errors:
-/// a bench sweep has no partial-success mode.
-CampaignResult run_sweep(const std::vector<std::string>& circuits,
-                         bool cold) {
-  CampaignOptions options;
-  options.max_parallel_jobs = bench_jobs();
-  CampaignResult result =
-      run_campaign(sweep_manifest(circuits, cold), options).value();
-  for (const auto& job : result.jobs) {
-    if (!job.ok()) {
-      std::fprintf(stderr, "block '%s' failed: %s\n", job.name.c_str(),
-                   job.status.to_string().c_str());
-      std::exit(1);
-    }
-  }
-  return result;
-}
-
-BlockRun block_run(const CampaignJobResult& job) {
+/// Runs the flow and the resynthesis procedure on one block with the
+/// bench options (optionally in the cold reference configuration).
+/// Aborts (value()) on errors: a bench sweep has no partial-success
+/// mode.
+BlockRun block_run(const std::string& name, bool cold) {
+  FlowOptions flow_options = bench_flow_options();
+  ResynthesisOptions resyn_options = bench_resyn_options();
+  if (cold) apply_cold_mode(flow_options, resyn_options);
+  const auto t0 = std::chrono::steady_clock::now();
+  DesignFlow flow(osu018_library(), flow_options);
+  const FlowState original =
+      flow.run_initial(build_benchmark(name).value()).value();
   BlockRun out;
-  out.orig = stats_of(*job.initial);
-  out.resyn = stats_of(*job.final_state);
-  out.report = *job.resyn;
-  out.counters = job.atpg_totals;
+  out.flow_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  const ResynthesisResult result =
+      resynthesize(flow, original, resyn_options).value();
+  out.orig = stats_of(original);
+  out.resyn = stats_of(result.state);
+  out.report = result.report;
+  out.counters = flow.atpg_totals();
   out.resyn_seconds = out.report.runtime_seconds;
-  // The job clock covers design build + flow + resynthesis; the flow
-  // share is what Rtime normalizes against.
-  out.flow_seconds = std::max(0.0, job.seconds - out.resyn_seconds);
   return out;
 }
 
@@ -187,19 +162,8 @@ int main() {
   bool mismatch = false;
   double warm_total = 0.0, cold_total = 0.0;
 
-  // The whole sweep goes through the campaign scheduler
-  // (DFMRES_BENCH_JOBS blocks in flight; per-block results are
-  // bit-identical to the serial sweep).
-  const CampaignResult warm_sweep = run_sweep(circuits, /*cold=*/false);
-  std::optional<CampaignResult> cold_sweep;
-  if (compare_cold) cold_sweep.emplace(run_sweep(circuits, /*cold=*/true));
-  std::printf("sweep: %d job(s) in flight x %d lane(s), warm wall %.2fs\n",
-              warm_sweep.jobs_in_flight, warm_sweep.inner_threads,
-              warm_sweep.seconds);
-
-  for (std::size_t b = 0; b < circuits.size(); ++b) {
-    const std::string& name = circuits[b];
-    const BlockRun warm = block_run(warm_sweep.jobs[b]);
+  for (const std::string& name : circuits) {
+    const BlockRun warm = block_run(name, /*cold=*/false);
     obs.absorb(warm.counters);
     obs.absorb(warm.report);
 
@@ -231,7 +195,7 @@ int main() {
     json_blocks.push_back(block_json(name, "warm", warm));
 
     if (compare_cold) {
-      const BlockRun cold = block_run(cold_sweep->jobs[b]);
+      const BlockRun cold = block_run(name, /*cold=*/true);
       json_blocks.push_back(block_json(name, "cold", cold));
       warm_total += warm.resyn_seconds;
       cold_total += cold.resyn_seconds;

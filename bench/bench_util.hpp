@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/circuits/benchmarks.hpp"
-#include "src/core/campaign.hpp"
 #include "src/core/flow.hpp"
 #include "src/core/resynthesis.hpp"
 #include "src/core/run_report.hpp"
@@ -54,17 +53,6 @@ inline void apply_cold_mode(FlowOptions& flow_options,
   flow_options.warm_start = false;
   resyn_options.dedup_candidates = false;
   resyn_options.parallel_ladder = false;
-}
-
-/// DFMRES_BENCH_JOBS: campaign jobs in flight for the scheduler-driven
-/// benches (1/unset = the historical serial sweep). Results are
-/// bit-identical for every value; only wall clock moves.
-inline int bench_jobs() {
-  if (const char* env = std::getenv("DFMRES_BENCH_JOBS")) {
-    const int jobs = std::atoi(env);
-    if (jobs > 0) return jobs;
-  }
-  return 1;
 }
 
 /// Environment override: DFMRES_BENCH_CIRCUITS="tv80,aes_core" restricts a

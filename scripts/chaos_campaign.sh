@@ -27,7 +27,7 @@ mkdir -p "$ROOT"
 
 echo "chaos_campaign: serial baseline..."
 "$DFMRES" campaign --manifest "$ROOT/manifest.json" \
-  --report-out "$ROOT/serial.json"
+  --campaign-root "$ROOT/serial" --report-out "$ROOT/serial.json"
 
 echo "chaos_campaign: $WORKERS workers, $KILLS random SIGKILLs..."
 "$DFMRES" campaign --manifest "$ROOT/manifest.json" \

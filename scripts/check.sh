@@ -94,10 +94,12 @@ assert "traceEvents" in trace, "failed run left no trace document"
 print("observability gate: failed-run trace still loads")
 EOF
 
-# Campaign gate: a 2-job mini-campaign from a manifest must finish with
-# every job completed and emit a schema-valid campaign report whose
-# per-job run reports and merged metrics survive the summarizer.
+# Campaign gate: a 2-job mini-campaign from a manifest, run by two
+# in-process lease workers, must finish with every job completed and
+# emit a schema-valid campaign report whose per-job run reports and
+# merged metrics survive the summarizer.
 CAMP_DIR="$BUILD_DIR/campaign_gate"
+rm -rf "$CAMP_DIR"
 mkdir -p "$CAMP_DIR"
 cat > "$CAMP_DIR/manifest.json" <<'EOF'
 {
@@ -109,8 +111,9 @@ cat > "$CAMP_DIR/manifest.json" <<'EOF'
 }
 EOF
 "$BUILD_DIR/tools/dfmres" campaign --manifest "$CAMP_DIR/manifest.json" \
-  --jobs 2 --checkpoint-root "$CAMP_DIR/ckpt" \
+  --jobs 2 --campaign-root "$CAMP_DIR/root" \
   --report-out "$CAMP_DIR/report.json"
+cmp "$CAMP_DIR/root/report.json" "$CAMP_DIR/report.json"
 python3 - "$CAMP_DIR" <<'EOF'
 import json, sys, os
 d = sys.argv[1]
@@ -129,23 +132,40 @@ print("campaign gate: report OK")
 EOF
 python3 scripts/summarize_report.py "$CAMP_DIR/report.json"
 
+# Resume-by-rerun: the same command on the finished root exits 0, runs
+# no job (a claimed job would write lease, checkpoint or shard files, so
+# every file under the root must keep its bytes and no file may appear)
+# and leaves report.json byte-identical.
+cp "$CAMP_DIR/report.json" "$CAMP_DIR/first_report.json"
+(cd "$CAMP_DIR/root" && find . -type f | sort | xargs cksum) \
+  > "$CAMP_DIR/root_before.txt"
+"$BUILD_DIR/tools/dfmres" campaign --manifest "$CAMP_DIR/manifest.json" \
+  --jobs 2 --campaign-root "$CAMP_DIR/root" \
+  --report-out "$CAMP_DIR/report.json" > "$CAMP_DIR/rerun.log" 2>&1
+(cd "$CAMP_DIR/root" && find . -type f | sort | xargs cksum) \
+  > "$CAMP_DIR/root_after.txt"
+cmp "$CAMP_DIR/root_before.txt" "$CAMP_DIR/root_after.txt"
+cmp "$CAMP_DIR/first_report.json" "$CAMP_DIR/root/report.json"
+cmp "$CAMP_DIR/first_report.json" "$CAMP_DIR/report.json"
+echo "campaign gate: rerun on the finished root ran nothing"
+
 # Chaos gate: the same manifest as a 2-worker lease-claimed campaign
 # with deterministic SIGKILL injection (each worker dies at its 2nd
 # checkpoint append and again when it first stages a shard; the
 # coordinator respawns it and the job resumes from the shared
 # checkpoint). The merged report must canonicalize byte-identically to
-# the in-process run above.
+# the in-process --jobs 2 run above.
 CHAOS_DIR="$BUILD_DIR/chaos_gate"
 rm -rf "$CHAOS_DIR"
 mkdir -p "$CHAOS_DIR"
 DFMRES_CRASH_AFTER="ckpt.append:2,shard.stage:1" \
   "$BUILD_DIR/tools/dfmres" campaign --manifest "$CAMP_DIR/manifest.json" \
   --workers 2 --campaign-root "$CHAOS_DIR/root"
-"$BUILD_DIR/tools/dfmres" canon "$CAMP_DIR/report.json" \
-  > "$CHAOS_DIR/serial.canon"
+"$BUILD_DIR/tools/dfmres" canon "$CAMP_DIR/root/report.json" \
+  > "$CHAOS_DIR/inprocess.canon"
 "$BUILD_DIR/tools/dfmres" canon "$CHAOS_DIR/root/report.json" \
   > "$CHAOS_DIR/chaos.canon"
-cmp "$CHAOS_DIR/serial.canon" "$CHAOS_DIR/chaos.canon"
+cmp "$CHAOS_DIR/inprocess.canon" "$CHAOS_DIR/chaos.canon"
 python3 scripts/summarize_report.py "$CHAOS_DIR"/root/shards/*.json
 echo "chaos gate: crash-resumed merge canonically identical"
 
@@ -153,7 +173,7 @@ echo "chaos gate: crash-resumed merge canonically identical"
 # its socket via the protocol client, stream schema-valid
 # dfmres-response-v1 events, answer a status query, drain cleanly
 # (exit 0), and leave a campaign report whose canonical projection is
-# byte-identical to the in-process serial run above.
+# byte-identical to the in-process run above.
 SERVE_DIR="$BUILD_DIR/serve_gate"
 rm -rf "$SERVE_DIR"
 mkdir -p "$SERVE_DIR"
@@ -199,8 +219,8 @@ print("serve gate: accepted/job_done/report/status/drained all schema-valid")
 EOF
 "$BUILD_DIR/tools/dfmres" canon "$SERVE_DIR/root/gate/report.json" \
   > "$SERVE_DIR/serve.canon"
-cmp "$CHAOS_DIR/serial.canon" "$SERVE_DIR/serve.canon"
-echo "serve gate: socket-run report canonically identical to serial"
+cmp "$CHAOS_DIR/inprocess.canon" "$SERVE_DIR/serve.canon"
+echo "serve gate: socket-run report canonically identical to in-process"
 
 # Saturation bench: latency percentiles must be ordered at every load
 # level and the over-capacity level must produce explicit admission

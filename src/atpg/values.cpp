@@ -5,7 +5,7 @@ namespace dfmres {
 V3 eval_cell_v3(const CellSpec& cell, int output, std::span<const V3> inputs) {
   // Collect X positions; enumerate their assignments.
   std::uint32_t base = 0;
-  std::uint32_t x_positions[kMaxCellInputs];
+  std::uint32_t x_positions[kMaxCellInputs] = {};
   int num_x = 0;
   for (int i = 0; i < cell.num_inputs; ++i) {
     switch (inputs[static_cast<std::size_t>(i)]) {

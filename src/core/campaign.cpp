@@ -3,13 +3,15 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cerrno>
+#include <condition_variable>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -19,6 +21,7 @@
 #include "src/circuits/benchmarks.hpp"
 #include "src/core/lease.hpp"
 #include "src/core/request.hpp"
+#include "src/core/run_report.hpp"
 #include "src/core/telemetry.hpp"
 #include "src/layout/floorplan.hpp"
 #include "src/netlist/verilog.hpp"
@@ -28,7 +31,7 @@
 #include "src/util/fsio.hpp"
 #include "src/util/json.hpp"
 #include "src/util/logging.hpp"
-#include "src/util/ready_queue.hpp"
+#include "src/util/metrics.hpp"
 #include "src/util/thread_pool.hpp"
 #include "src/util/trace.hpp"
 
@@ -212,47 +215,30 @@ Expected<Netlist> load_campaign_design(const std::string& name,
   return build_benchmark(name);
 }
 
-/// Runs one job start to finish on the calling (runner) thread. Never
-/// throws past here: every failure lands in the result's status so the
-/// rest of the campaign is unaffected.
-CampaignJobResult run_job(const CampaignJobSpec& spec,
-                          const CampaignOptions& options, int inner_threads) {
-  CampaignJobResult result;
-  result.name = spec.name;
-  result.design = spec.design;
-  result.mode = spec.mode;
-  result.inner_threads = inner_threads;
-  result.metrics = std::make_unique<MetricsRegistry>();
-  if (cancel_expired(options.cancel)) {
-    result.skipped = true;
-    result.status = options.cancel->to_status();
-    return result;
-  }
-
+/// Runs one job start to finish on the calling thread; a resyn job
+/// journals to (and resumes from) `<ckpt_root>/<name>`. Fills the
+/// row's timing, fan-out and embedded run report plus the job's
+/// metrics shard; a failed job returns its error so the lease layer
+/// can retry it.
+Status run_job(const CampaignJobSpec& spec, const CancelToken& cancel,
+               const std::string& ckpt_root, int inner_threads,
+               CampaignReportRow* row, MetricsRegistry* metrics) {
   TraceSpan span("campaign.job", "campaign");
   span.arg("name", spec.name.c_str());
   const auto t0 = std::chrono::steady_clock::now();
-  const auto finish = [&] {
-    result.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  };
+  row->inner_threads = inner_threads;
 
   // The per-job stop signal: the job deadline is armed now (when the job
-  // starts, matching a standalone run), chained to the campaign token so
-  // a campaign-wide cancel drains this job too.
+  // starts, matching a standalone run), chained to the claim token so a
+  // campaign-wide cancel or a lost lease drains this job too.
   const CancelToken token(spec.deadline.count() > 0
                               ? Deadline::after(spec.deadline)
                               : Deadline::never(),
-                          options.cancel);
+                          &cancel);
 
   bool is_mapped = false;
   auto design = load_campaign_design(spec.design, &is_mapped);
-  if (!design) {
-    result.status = design.status();
-    finish();
-    return result;
-  }
+  if (!design) return design.status();
 
   FlowOptions flow_options = spec.flow;
   // Two-level budget: the job's fault-sim/ladder fan-out never exceeds
@@ -270,77 +256,48 @@ CampaignJobResult run_job(const CampaignJobSpec& spec,
     return flow.analyze(AnalysisRequest::placed(
         std::move(*design), std::move(placement), /*generate_tests=*/true));
   }();
-  if (!original) {
-    result.status = original.status();
-    finish();
-    return result;
-  }
+  if (!original) return original.status();
 
+  RunReport report(row->mode, spec.design);
   if (spec.mode == CampaignJobSpec::Mode::Flow) {
-    result.final_state = std::move(*original);
-    result.atpg_totals = flow.atpg_totals();
-    result.metrics->absorb(result.atpg_totals);
-    RunReport report("flow", spec.design);
-    report.set_threads(result.final_state->atpg.counters.threads_used);
-    report.set_final(*result.final_state);
-    report.set_atpg_totals(result.atpg_totals);
-    finish();
-    report.set_runtime_seconds(result.seconds);
-    result.report = std::move(report);
-    return result;
-  }
-
-  ResynthesisOptions resyn_options = spec.resyn;
-  resyn_options.cancel = &token;
-  if (!options.checkpoint_root.empty()) {
-    resyn_options.checkpoint_dir = options.checkpoint_root + "/" + spec.name;
-    resyn_options.resume = options.resume;
+    metrics->absorb(flow.atpg_totals());
+    report.set_threads(original->atpg.counters.threads_used);
+    report.set_final(*original);
   } else {
-    resyn_options.checkpoint_dir.clear();
-    resyn_options.resume = false;
+    ResynthesisOptions resyn_options = spec.resyn;
+    resyn_options.cancel = &token;
+    resyn_options.checkpoint_dir = ckpt_root + "/" + spec.name;
+    resyn_options.resume = true;
+    const std::uint64_t fingerprint =
+        resynthesis_fingerprint(flow, *original, resyn_options);
+    auto resyn = resynthesize(flow, *original, resyn_options);
+    if (!resyn) return resyn.status();
+    row->deadline_expired = resyn->report.deadline_expired;
+    metrics->absorb(flow.atpg_totals());
+    publish_metrics(resyn->report, *metrics);
+    report.set_threads(resyn->state.atpg.counters.threads_used);
+    report.set_fingerprint(fingerprint);
+    report.set_initial(*original);
+    report.set_final(resyn->state);
+    report.set_resynthesis(resyn->report);
   }
-  const std::uint64_t fingerprint =
-      resynthesis_fingerprint(flow, *original, resyn_options);
-  auto resyn = resynthesize(flow, *original, resyn_options);
-  if (!resyn) {
-    result.status = resyn.status();
-    finish();
-    return result;
-  }
-  result.initial = std::move(*original);
-  result.final_state = std::move(resyn->state);
-  result.resyn = std::move(resyn->report);
-  result.deadline_expired = result.resyn->deadline_expired;
-  result.atpg_totals = flow.atpg_totals();
-  result.metrics->absorb(result.atpg_totals);
-  publish_metrics(*result.resyn, *result.metrics);
-  RunReport report("resyn", spec.design);
-  report.set_threads(result.final_state->atpg.counters.threads_used);
-  report.set_fingerprint(fingerprint);
-  report.set_initial(*result.initial);
-  report.set_final(*result.final_state);
-  report.set_resynthesis(*result.resyn);
-  report.set_atpg_totals(result.atpg_totals);
-  finish();
-  report.set_runtime_seconds(result.seconds);
-  result.report = std::move(report);
-  return result;
+  report.set_atpg_totals(flow.atpg_totals());
+  row->runtime_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  report.set_runtime_seconds(row->runtime_seconds);
+  row->report_json = report.to_json();
+  return Status::ok();
 }
 
 }  // namespace
-
-void CampaignResult::merge_metrics_into(MetricsRegistry& out) const {
-  for (const auto& job : jobs) {
-    if (job.metrics != nullptr) out.merge(*job.metrics);
-  }
-}
 
 std::string render_campaign_report(const CampaignReportTotals& totals,
                                    const std::vector<CampaignReportRow>& rows,
                                    const std::string& metrics_json) {
   JsonWriter w;
   w.begin_object();
-  w.field("schema", CampaignResult::kReportSchema);
+  w.field("schema", schemas::kCampaignReport);
   w.field("jobs_total", static_cast<std::uint64_t>(totals.jobs_total));
   w.field("completed", static_cast<std::uint64_t>(totals.completed));
   w.field("expired", static_cast<std::uint64_t>(totals.expired));
@@ -377,131 +334,6 @@ std::string render_campaign_report(const CampaignReportTotals& totals,
   w.raw(metrics_json);
   w.end_object();
   return w.take();
-}
-
-std::string CampaignResult::report_json() const {
-  CampaignReportTotals totals;
-  totals.jobs_total = jobs.size();
-  totals.completed = completed;
-  totals.expired = expired;
-  totals.failed = failed;
-  totals.skipped = skipped;
-  totals.jobs_in_flight = jobs_in_flight;
-  totals.inner_threads = inner_threads;
-  totals.total_threads = total_threads;
-  totals.runtime_seconds = seconds;
-  std::vector<CampaignReportRow> rows;
-  rows.reserve(jobs.size());
-  for (const auto& job : jobs) {
-    CampaignReportRow row;
-    row.name = job.name;
-    row.design = job.design;
-    row.mode =
-        job.mode == CampaignJobSpec::Mode::Flow ? kModeFlow : kModeResyn;
-    row.ok = job.ok();
-    row.status = job.status.is_ok() ? std::string("ok")
-                                    : job.status.to_string();
-    row.skipped = job.skipped;
-    row.deadline_expired = job.deadline_expired;
-    row.inner_threads = job.inner_threads;
-    row.runtime_seconds = job.seconds;
-    if (job.report.has_value()) row.report_json = job.report->to_json();
-    rows.push_back(std::move(row));
-  }
-  MetricsRegistry merged;
-  merge_metrics_into(merged);
-  return render_campaign_report(totals, rows, merged.to_json());
-}
-
-Status CampaignResult::write_report(const std::string& path) const {
-  const std::string json = report_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return make_status(StatusCode::kInvalidArgument,
-                       "cannot open report output '%s'", path.c_str());
-  }
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != json.size() || !close_ok) {
-    return make_status(StatusCode::kDataLoss,
-                       "short write to report output '%s'", path.c_str());
-  }
-  return Status::ok();
-}
-
-Expected<CampaignResult> run_campaign(const CampaignManifest& manifest,
-                                      const CampaignOptions& options) {
-  if (Status s = manifest.validate(); !s.is_ok()) return s;
-  if (!options.checkpoint_root.empty()) {
-    if (Status s = make_dir(options.checkpoint_root); !s.is_ok()) return s;
-  }
-
-  CampaignResult out;
-  out.total_threads = ThreadPool::resolve_threads(options.total_threads);
-  out.jobs_in_flight = std::clamp(options.max_parallel_jobs, 1,
-                                  static_cast<int>(manifest.jobs.size()));
-  out.inner_threads =
-      ThreadPool::lanes_per_job(out.total_threads, out.jobs_in_flight);
-  out.jobs.resize(manifest.jobs.size());
-
-  log(LogLevel::Info,
-      "campaign: %zu job(s), %d in flight, %d fault-sim lane(s) each",
-      manifest.jobs.size(), out.jobs_in_flight, out.inner_threads);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  // The ready queue replaces the old atomic job counter: producers
-  // seed it in manifest order, runners pull relaxed-FIFO. Determinism
-  // is unaffected — each result lands in its manifest slot
-  // (out.jobs[i]) and the report renders in manifest order, so the
-  // queue only ever changes *dispatch* order, never output bytes.
-  ReadyQueue ready(manifest.jobs.size());
-  for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
-    if (!ready.try_push(i)) {
-      return make_status(StatusCode::kInternal,
-                         "campaign ready queue rejected job %zu", i);
-    }
-  }
-  ready.close();  // pop() drains the backlog, then reports closed
-  const auto runner = [&] {
-    for (;;) {
-      Expected<std::uint64_t> i = ready.pop();
-      if (!i) return;  // closed and drained
-      out.jobs[*i] = run_job(manifest.jobs[*i], options, out.inner_threads);
-      const CampaignJobResult& job = out.jobs[*i];
-      log(job.ok() ? LogLevel::Info : LogLevel::Warn,
-          "campaign: job '%s' %s in %.1fs%s", job.name.c_str(),
-          job.skipped ? "skipped"
-                      : (job.status.is_ok() ? "done" : "failed"),
-          job.seconds,
-          job.deadline_expired ? " (deadline expired)" : "");
-    }
-  };
-  if (out.jobs_in_flight <= 1) {
-    runner();
-  } else {
-    // Dedicated runner threads; each job's inner fan-out goes through
-    // the shared ThreadPool under the two-level budget, so the machine
-    // is never oversubscribed by jobs × lanes.
-    std::vector<std::jthread> runners;
-    runners.reserve(static_cast<std::size_t>(out.jobs_in_flight));
-    for (int k = 0; k < out.jobs_in_flight; ++k) runners.emplace_back(runner);
-  }
-  out.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  for (const auto& job : out.jobs) {
-    if (job.skipped) {
-      ++out.skipped;
-    } else if (!job.status.is_ok()) {
-      ++out.failed;
-    } else if (job.deadline_expired) {
-      ++out.expired;
-    } else {
-      ++out.completed;
-    }
-  }
-  return out;
 }
 
 // ---- Multi-process campaigns --------------------------------------------
@@ -688,7 +520,10 @@ bool campaign_shards_complete(const std::string& root,
   return true;
 }
 
-Expected<std::string> merge_campaign_shards(const std::string& root) {
+Expected<std::string> merge_campaign_shards(const std::string& root,
+                                            int jobs_in_flight,
+                                            int inner_threads,
+                                            int total_threads) {
   auto manifest = read_campaign_root(root);
   if (!manifest) return manifest.status();
 
@@ -732,8 +567,11 @@ Expected<std::string> merge_campaign_shards(const std::string& root) {
       ++totals.completed;
     }
   }
-  // jobs_in_flight/thread counts stay 0: a sharded campaign has no
-  // single fixed fan-out, and the canonical projection strips them.
+  // The merging process's fan-out: provenance only, the canonical
+  // projection strips it.
+  totals.jobs_in_flight = jobs_in_flight;
+  totals.inner_threads = inner_threads;
+  totals.total_threads = total_threads;
   std::string report =
       render_campaign_report(totals, rows, merged_metrics.to_json());
   if (Status s = write_file_atomic(merged_report_path(root), report, "merge");
@@ -815,7 +653,7 @@ Expected<std::string> canonical_campaign_report(std::string_view report_json) {
   if (!doc->is_object()) return bad("not an object");
   const JsonValue* schema = doc->find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != CampaignResult::kReportSchema) {
+      schema->as_string() != schemas::kCampaignReport) {
     return bad("bad schema");
   }
   JsonWriter w;
@@ -894,18 +732,30 @@ Expected<JobPassOutcome> campaign_job_pass(const CampaignJobPassContext& ctx,
   }
   crash_point("job.start");
 
-  const char* mode_name =
-      spec.mode == CampaignJobSpec::Mode::Flow ? kModeFlow : kModeResyn;
+  CampaignReportRow row;
+  row.name = spec.name;
+  row.design = spec.design;
+  row.mode = spec.mode == CampaignJobSpec::Mode::Flow ? kModeFlow : kModeResyn;
+  row.attempts = claim->attempt;
+  row.worker = ctx.owner;
+  MetricsRegistry metrics;
+  const auto publish = [&]() -> Status {
+    if (Status s = publish_shard(root, row, metrics.to_json(), ctx.owner);
+        !s.is_ok()) {
+      return s;
+    }
+    if (ctx.telemetry != nullptr) {
+      ctx.telemetry->absorb_metrics(metrics);
+      ctx.telemetry->note_job_done();
+      (void)ctx.telemetry->publish_now();
+    }
+    return Status::ok();
+  };
 
   if (claim->poison) {
     // We won the poison epoch: the job burned its attempt budget.
     // Publish the tombstone so the sweep terminates with a complete
     // merged report instead of convoying on one pathological job.
-    CampaignReportRow row;
-    row.name = spec.name;
-    row.design = spec.design;
-    row.mode = mode_name;
-    row.ok = false;
     row.status = strfmt(
         "internal: poisoned after %d failed attempts; last error: %s",
         ctx.max_attempts,
@@ -913,44 +763,19 @@ Expected<JobPassOutcome> campaign_job_pass(const CampaignJobPassContext& ctx,
                                    : claim->prior_error.c_str());
     row.poisoned = true;
     row.attempts = ctx.max_attempts;
-    row.worker = ctx.owner;
-    MetricsRegistry empty;
-    if (Status s = publish_shard(root, row, empty.to_json(), ctx.owner);
-        !s.is_ok()) {
-      return s;
-    }
+    if (Status s = publish(); !s.is_ok()) return s;
     log(LogLevel::Warn, "worker %s: job '%s' poisoned (%d attempts)",
         ctx.owner.c_str(), spec.name.c_str(), ctx.max_attempts);
-    if (ctx.telemetry != nullptr) {
-      ctx.telemetry->note_job_done();
-      (void)ctx.telemetry->publish_now();
-    }
     return JobPassOutcome::kPoisoned;
   }
 
   if (ctx.skip) {
     // Terminalize without running: a cancelled campaign's pending jobs
     // become skipped shards so the merge still completes.
-    CampaignReportRow row;
-    row.name = spec.name;
-    row.design = spec.design;
-    row.mode = mode_name;
-    row.ok = false;
-    row.status = "ok";
     row.skipped = true;
-    row.attempts = claim->attempt;
-    row.worker = ctx.owner;
-    MetricsRegistry empty;
-    if (Status s = publish_shard(root, row, empty.to_json(), ctx.owner);
-        !s.is_ok()) {
-      return s;
-    }
+    if (Status s = publish(); !s.is_ok()) return s;
     log(LogLevel::Info, "worker %s: job '%s' skipped (campaign cancelled)",
         ctx.owner.c_str(), spec.name.c_str());
-    if (ctx.telemetry != nullptr) {
-      ctx.telemetry->note_job_done();
-      (void)ctx.telemetry->publish_now();
-    }
     return JobPassOutcome::kPublished;
   }
 
@@ -958,19 +783,15 @@ Expected<JobPassOutcome> campaign_job_pass(const CampaignJobPassContext& ctx,
   // it if the lease is lost (so we stop double-computing a taken-over
   // job), and the caller's token chains through it.
   CancelToken claim_token(Deadline::never(), ctx.cancel);
-  CampaignOptions job_options;
-  job_options.cancel = &claim_token;
-  job_options.checkpoint_root = root + "/ckpt";
-  job_options.resume = true;
-  job_options.total_threads = ctx.total_threads;
-  CampaignJobResult result;
+  Status status;
   bool lease_lost = false;
   if (ctx.telemetry != nullptr) {
     ctx.telemetry->set_job(spec.name, claim->attempt);
   }
   {
     HeartbeatKeeper keeper(*ctx.leases, spec.name, *claim, &claim_token);
-    result = run_job(spec, job_options, ctx.inner_threads);
+    status = run_job(spec, claim_token, root + "/ckpt", ctx.inner_threads,
+                     &row, &metrics);
     lease_lost = keeper.lost();
   }
   if (ctx.telemetry != nullptr) ctx.telemetry->clear_job();
@@ -984,49 +805,134 @@ Expected<JobPassOutcome> campaign_job_pass(const CampaignJobPassContext& ctx,
     // progress and the next claimant resumes bit-identically.
     return JobPassOutcome::kCancelled;
   }
-  if (!result.status.is_ok()) {
+  if (!status.is_ok()) {
     if (Status s = ctx.leases->mark_failed(spec.name, *claim,
-                                           result.status.to_string());
+                                           status.to_string());
         !s.is_ok()) {
       return s;
     }
     log(LogLevel::Warn, "worker %s: job '%s' attempt %d failed: %s",
         ctx.owner.c_str(), spec.name.c_str(), claim->attempt,
-        result.status.to_string().c_str());
+        status.to_string().c_str());
     return JobPassOutcome::kAttemptFailed;
   }
-  CampaignReportRow row;
-  row.name = result.name;
-  row.design = result.design;
-  row.mode = result.mode == CampaignJobSpec::Mode::Flow ? kModeFlow
-                                                        : kModeResyn;
-  row.ok = result.ok();
-  row.status = "ok";
-  row.deadline_expired = result.deadline_expired;
-  row.attempts = claim->attempt;
-  row.worker = ctx.owner;
-  row.inner_threads = result.inner_threads;
-  row.runtime_seconds = result.seconds;
-  if (result.report.has_value()) row.report_json = result.report->to_json();
-  if (Status s = publish_shard(root, row,
-                               result.metrics != nullptr
-                                   ? result.metrics->to_json()
-                                   : MetricsRegistry{}.to_json(),
-                               ctx.owner);
-      !s.is_ok()) {
-    return s;
-  }
+  row.ok = true;
+  if (Status s = publish(); !s.is_ok()) return s;
   log(LogLevel::Info, "worker %s: job '%s' done in %.1fs (attempt %d)",
-      ctx.owner.c_str(), spec.name.c_str(), result.seconds, claim->attempt);
-  if (ctx.telemetry != nullptr) {
-    if (result.metrics != nullptr) {
-      ctx.telemetry->absorb_metrics(*result.metrics);
-    }
-    ctx.telemetry->note_job_done();
-    (void)ctx.telemetry->publish_now();
-  }
+      ctx.owner.c_str(), spec.name.c_str(), row.runtime_seconds,
+      claim->attempt);
   return JobPassOutcome::kPublished;
 }
+
+namespace {
+
+/// Lets the drain loops of one process wake each other: a publish ends
+/// the siblings' poll pauses, so an idle worker notices the last shard
+/// at once instead of a pause later.
+class PublishSignal {
+ public:
+  std::uint64_t count() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return published_;
+  }
+  void notify() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++published_;
+    }
+    cv_.notify_all();
+  }
+  /// Sleeps up to `pause`, less if a publish happens after `seen`.
+  void wait(std::uint64_t seen, std::chrono::nanoseconds pause) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait_for(lock, pause, [&] { return published_ != seen; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::uint64_t published_ = 0;
+};
+
+/// The lease drain loop: passes over the jobs in manifest order until
+/// every job has a shard (or the token trips). Jobs that are busy
+/// elsewhere, in backoff or just failed come back on the next pass;
+/// a pass that moved nothing pauses first, until `poll_pause` passes
+/// or a sibling sharing `signal` publishes.
+Expected<CampaignWorkerStats> drain_campaign(
+    const CampaignManifest& manifest, const CampaignJobPassContext& ctx,
+    std::chrono::nanoseconds poll_pause, PublishSignal& signal) {
+  CampaignWorkerStats stats;
+  for (;;) {
+    const std::uint64_t seen = signal.count();
+    bool pending = false;
+    bool progressed = false;
+    for (const CampaignJobSpec& job : manifest.jobs) {
+      if (cancel_expired(ctx.cancel)) break;
+      auto outcome = campaign_job_pass(ctx, job);
+      if (!outcome) return outcome.status();
+      switch (*outcome) {
+        case JobPassOutcome::kPublished:
+          ++stats.jobs_run;
+          progressed = true;
+          signal.notify();
+          break;
+        case JobPassOutcome::kPoisoned:
+          ++stats.jobs_poisoned;
+          progressed = true;
+          signal.notify();
+          break;
+        case JobPassOutcome::kAlreadyDone:
+          break;
+        case JobPassOutcome::kAttemptFailed:
+          progressed = true;
+          pending = true;
+          break;
+        default:  // Busy / LeaseLost / Cancelled
+          pending = true;
+          break;
+      }
+    }
+    if (cancel_expired(ctx.cancel)) {
+      stats.cancelled = true;
+      return stats;
+    }
+    if (!pending) return stats;  // every job has a shard
+    if (!progressed) signal.wait(seen, poll_pause);
+  }
+}
+
+std::chrono::nanoseconds poll_pause_for(std::chrono::nanoseconds heartbeat) {
+  return std::min<std::chrono::nanoseconds>(heartbeat,
+                                            std::chrono::milliseconds(200));
+}
+
+/// Merge election, run once every job has a shard and no report exists:
+/// the last worker out (or a fresh attachment to a finished root)
+/// claims the merge lease; Busy means another live worker is already
+/// merging. A crashed merger goes stale and the next attachment
+/// re-claims. Returns whether this caller merged.
+Expected<bool> elect_merge(const std::string& root,
+                           const CampaignManifest& manifest,
+                           const LeaseDir& leases, int jobs_in_flight,
+                           int inner_threads, int total_threads) {
+  if (!campaign_shards_complete(root, manifest) ||
+      path_exists(merged_report_path(root))) {
+    return false;
+  }
+  auto claim = leases.try_claim(kMergeLease);
+  if (!claim) return claim.status();
+  if (claim->outcome != LeaseClaim::Outcome::Claimed) return false;
+  auto merged = merge_campaign_shards(root, jobs_in_flight, inner_threads,
+                                      total_threads);
+  if (!merged) return merged.status();
+  log(LogLevel::Info, "worker %s: merged %zu shard(s) into %s",
+      leases.config().owner.c_str(), manifest.jobs.size(),
+      merged_report_path(root).c_str());
+  return true;
+}
+
+}  // namespace
 
 Expected<CampaignWorkerStats> run_campaign_worker(
     const CampaignWorkerOptions& options) {
@@ -1072,82 +978,86 @@ Expected<CampaignWorkerStats> run_campaign_worker(
     }
   }
 
-  CampaignWorkerStats stats;
   CampaignJobPassContext ctx;
   ctx.root = root;
   ctx.leases = &leases;
   ctx.owner = lease_config.owner;
-  ctx.total_threads = total_threads;
   ctx.inner_threads = inner_threads;
   ctx.cancel = options.cancel;
   ctx.telemetry = telemetry.has_value() ? &*telemetry : nullptr;
   ctx.max_attempts = lease_config.max_attempts;
-
-  // The same ready-queue pull as run_campaign and the serve daemon:
-  // each round seeds the queue with the jobs still lacking shards (in
-  // manifest order) and drains it through campaign_job_pass; busy or
-  // failed jobs come back on the next round.
-  ReadyQueue ready(manifest->jobs.size());
-  const auto poll_pause = std::min<std::chrono::nanoseconds>(
-      options.heartbeat, std::chrono::milliseconds(200));
-  for (;;) {
-    if (cancel_expired(options.cancel)) {
-      stats.cancelled = true;
-      break;
-    }
-    std::size_t pending = 0;
-    for (std::size_t i = 0; i < manifest->jobs.size(); ++i) {
-      if (path_exists(shard_path(root, manifest->jobs[i].name))) continue;
-      if (ready.try_push(i)) ++pending;  // capacity = |jobs|: never full
-    }
-    if (pending == 0) break;  // every job has a shard
-    bool progressed = false;
-    std::uint64_t i = 0;
-    while (ready.try_pop(&i)) {
-      if (cancel_expired(options.cancel)) break;
-      auto outcome = campaign_job_pass(ctx, manifest->jobs[i]);
-      if (!outcome) return outcome.status();
-      switch (*outcome) {
-        case JobPassOutcome::kPublished:
-          ++stats.jobs_run;
-          progressed = true;
-          break;
-        case JobPassOutcome::kPoisoned:
-          ++stats.jobs_poisoned;
-          progressed = true;
-          break;
-        case JobPassOutcome::kAttemptFailed:
-          progressed = true;
-          break;
-        default:
-          break;  // AlreadyDone / Busy / LeaseLost / Cancelled
-      }
-    }
-    if (cancel_expired(options.cancel)) {
-      stats.cancelled = true;
-      break;
-    }
-    if (!progressed) std::this_thread::sleep_for(poll_pause);
-  }
-
-  if (!stats.cancelled && campaign_shards_complete(root, *manifest) &&
-      !path_exists(merged_report_path(root))) {
-    // Merge election: the last worker out (or a fresh `dfmres work` on a
-    // finished root) claims the merge lease; Busy means another live
-    // worker is already merging. A crashed merger goes stale and the
-    // next attachment re-claims.
-    auto claim = leases.try_claim(kMergeLease);
-    if (!claim) return claim.status();
-    if (claim->outcome == LeaseClaim::Outcome::Claimed) {
-      auto merged = merge_campaign_shards(root);
-      if (!merged) return merged.status();
-      stats.merged = true;
-      log(LogLevel::Info, "worker %s: merged %zu shard(s) into %s",
-          lease_config.owner.c_str(), manifest->jobs.size(),
-          merged_report_path(root).c_str());
-    }
-  }
+  PublishSignal no_siblings;
+  auto stats = drain_campaign(*manifest, ctx,
+                              poll_pause_for(options.heartbeat), no_siblings);
+  if (!stats || stats->cancelled) return stats;
+  auto merged = elect_merge(root, *manifest, leases, /*jobs_in_flight=*/1,
+                            inner_threads, total_threads);
+  if (!merged) return merged.status();
+  stats->merged = *merged;
   return stats;
+}
+
+Expected<std::string> run_campaign(const CampaignManifest& manifest,
+                                   const std::string& root,
+                                   const CampaignOptions& options) {
+  if (Status s = init_campaign_root(manifest, root); !s.is_ok()) return s;
+  const int total_threads = ThreadPool::resolve_threads(options.total_threads);
+  const int workers = std::clamp(options.max_parallel_jobs, 1,
+                                 static_cast<int>(manifest.jobs.size()));
+  const int inner_threads = ThreadPool::lanes_per_job(total_threads, workers);
+  log(LogLevel::Info,
+      "campaign: %zu job(s), %d in-process worker(s), %d fault-sim lane(s) "
+      "each",
+      manifest.jobs.size(), workers, inner_threads);
+
+  // N lease workers on dedicated threads, each its own lease owner. A
+  // job's inner fan-out goes through the shared ThreadPool under the
+  // two-level budget, so the machine is never oversubscribed by
+  // workers x lanes. No telemetry: one process-global Tracer cannot
+  // feed N publishers without duplicating spans.
+  const std::string pid = std::to_string(::getpid());
+  std::vector<Expected<CampaignWorkerStats>> stats(
+      static_cast<std::size_t>(workers), CampaignWorkerStats{});
+  PublishSignal signal;
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(stats.size());
+    for (int k = 0; k < workers; ++k) {
+      threads.emplace_back([&, k] {
+        LeaseConfig config;
+        config.owner = "w" + pid + "." + std::to_string(k);
+        const LeaseDir leases(root, config);
+        CampaignJobPassContext ctx;
+        ctx.root = root;
+        ctx.leases = &leases;
+        ctx.owner = config.owner;
+        ctx.inner_threads = inner_threads;
+        ctx.cancel = options.cancel;
+        ctx.max_attempts = config.max_attempts;
+        stats[static_cast<std::size_t>(k)] =
+            drain_campaign(manifest, ctx,
+                           poll_pause_for(config.heartbeat_period), signal);
+      });
+    }
+  }
+  for (const auto& s : stats) {
+    if (!s) return s.status();
+    if (s->cancelled) return options.cancel->to_status();
+  }
+
+  LeaseConfig config;
+  config.owner = "w" + pid;
+  const LeaseDir leases(root, config);
+  auto merged = elect_merge(root, manifest, leases, workers, inner_threads,
+                            total_threads);
+  if (!merged) return merged.status();
+  auto report = read_file(merged_report_path(root));
+  if (!report) {
+    return make_status(StatusCode::kUnavailable,
+                       "campaign root '%s': another worker holds the merge",
+                       root.c_str());
+  }
+  return std::move(*report);
 }
 
 }  // namespace dfmres

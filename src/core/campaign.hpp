@@ -1,17 +1,13 @@
 #pragma once
 
 #include <chrono>
-#include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/core/resynthesis.hpp"
-#include "src/core/run_report.hpp"
 #include "src/core/schemas.hpp"
 #include "src/util/duration.hpp"
-#include "src/util/metrics.hpp"
 
 namespace dfmres {
 
@@ -20,8 +16,8 @@ class JsonValue;
 /// One job of a campaign: a design crossed with the flow and (for resyn
 /// jobs) resynthesis options. The spec's `resyn.cancel`,
 /// `resyn.checkpoint_dir` and `resyn.resume` fields are managed by the
-/// scheduler (per-job token, `<checkpoint_root>/<name>`); values set
-/// here are ignored. `flow.atpg.num_threads` is a cap on the job's
+/// lease worker (per-job token, `<root>/ckpt/<name>`, always resumed);
+/// values set here are ignored. `flow.atpg.num_threads` is a cap on the job's
 /// inner fan-out: the scheduler lowers it to the two-level budget
 /// (0 = use the full per-job share).
 struct CampaignJobSpec {
@@ -75,57 +71,21 @@ struct CampaignManifest {
 [[nodiscard]] CampaignManifest table2_manifest();
 
 struct CampaignOptions {
-  /// Jobs in flight at once (clamped to [1, |jobs|]).
+  /// In-process lease workers (clamped to [1, |jobs|]).
   int max_parallel_jobs = 1;
-  /// Hardware budget split across the jobs in flight:
-  /// `inner = max(1, total_threads / jobs_in_flight)` fault-sim lanes
-  /// per job, so `jobs × inner ≤ max(total, jobs)`. 0 = hardware
+  /// Hardware budget split across the workers:
+  /// `inner = max(1, total_threads / workers)` fault-sim lanes per job,
+  /// so `workers × inner ≤ max(total, workers)`. 0 = hardware
   /// concurrency.
   int total_threads = 0;
-  /// Campaign-wide stop signal; per-job tokens chain to it, so
-  /// cancelling it drains every running job cooperatively and skips the
-  /// jobs not yet started.
+  /// Campaign-wide stop signal: running jobs unwind without publishing
+  /// a shard (their checkpoint journals keep the progress) and no
+  /// further job is claimed, so a rerun on the same root resumes.
   const CancelToken* cancel = nullptr;
-  /// Per-job checkpoint journals at `<checkpoint_root>/<job name>`
-  /// (empty = no checkpointing). The root is created if missing.
-  std::string checkpoint_root;
-  /// Resume each job from its journal when one exists.
-  bool resume = false;
 };
 
-/// Outcome of one campaign job. `status` is ok for a job that ran to
-/// completion (including a resyn whose deadline expired — that returns
-/// the best accepted design per the resynthesis contract, with
-/// `deadline_expired` set); a failed job carries the error here and
-/// leaves the optionals empty.
-struct CampaignJobResult {
-  std::string name;
-  std::string design;
-  CampaignJobSpec::Mode mode = CampaignJobSpec::Mode::Resyn;
-  Status status;
-  /// The campaign was cancelled/expired before this job started.
-  bool skipped = false;
-  bool deadline_expired = false;
-  int inner_threads = 0;
-  double seconds = 0.0;
-  std::optional<FlowState> initial;
-  std::optional<FlowState> final_state;
-  std::optional<ResynthesisReport> resyn;
-  AtpgCounters atpg_totals;
-  /// Per-job run report, identical in shape (command "flow"/"resyn") to
-  /// the one the standalone CLI run would emit.
-  std::optional<RunReport> report;
-  /// Per-job metrics shard (never the global registry), merged
-  /// deterministically in manifest order into the campaign report.
-  std::unique_ptr<MetricsRegistry> metrics;
-
-  [[nodiscard]] bool ok() const { return status.is_ok() && !skipped; }
-};
-
-/// One row of a campaign report — the schema-level shape shared by the
-/// in-process scheduler and the multi-process shard merge, so both paths
-/// render through the same code and produce identical bytes for
-/// identical content by construction.
+/// One row of a campaign report: the shape of a job's shard and of its
+/// entry in the merged report.
 struct CampaignReportRow {
   std::string name;
   std::string design;
@@ -135,8 +95,8 @@ struct CampaignReportRow {
   bool skipped = false;
   bool deadline_expired = false;
   bool poisoned = false;  ///< attempt budget exhausted; no result
-  int attempts = 1;       ///< lease attempts consumed (1 in-process)
-  std::string worker;     ///< owner id of the publishing worker ("" local)
+  int attempts = 1;       ///< lease attempts consumed
+  std::string worker;     ///< lease owner id of the publishing worker
   int inner_threads = 0;
   double runtime_seconds = 0.0;
   std::string report_json;  ///< embedded run report; empty = absent
@@ -149,7 +109,9 @@ struct CampaignReportTotals {
   std::size_t expired = 0;
   std::size_t failed = 0;
   std::size_t skipped = 0;
-  int jobs_in_flight = 0;  ///< 0 = multi-process (not a fixed fan-out)
+  /// The merging process's in-process workers and lane budget (0 = not
+  /// recorded); other processes may have run jobs too.
+  int jobs_in_flight = 0;
   int inner_threads = 0;
   int total_threads = 0;
   double runtime_seconds = 0.0;
@@ -161,44 +123,7 @@ struct CampaignReportTotals {
     const std::vector<CampaignReportRow>& rows,
     const std::string& metrics_json);
 
-struct CampaignResult {
-  static constexpr const char* kReportSchema = schemas::kCampaignReport;
-
-  /// One entry per manifest job, in manifest order regardless of the
-  /// order jobs finished in.
-  std::vector<CampaignJobResult> jobs;
-  std::size_t completed = 0;  ///< ok and not deadline-expired
-  std::size_t expired = 0;    ///< ok but the job deadline cut the search
-  std::size_t failed = 0;
-  std::size_t skipped = 0;
-  int jobs_in_flight = 0;   ///< resolved max_parallel_jobs
-  int inner_threads = 0;    ///< resolved per-job fan-out budget
-  int total_threads = 0;    ///< resolved hardware budget
-  double seconds = 0.0;
-
-  /// Folds every job's metrics shard into `out` in manifest order (the
-  /// deterministic-merge contract: the result is independent of job
-  /// scheduling).
-  void merge_metrics_into(MetricsRegistry& out) const;
-
-  /// The `dfmres-campaign-report-v1` JSON: campaign totals, one entry
-  /// per job embedding its run report, and the merged metrics.
-  [[nodiscard]] std::string report_json() const;
-  [[nodiscard]] Status write_report(const std::string& path) const;
-};
-
-/// Executes the manifest's jobs, `max_parallel_jobs` at a time, on
-/// dedicated runner threads (inner ATPG/ladder fan-outs share the
-/// process-wide ThreadPool under the two-level budget; the pool is never
-/// entered twice from one lane). Each job is isolated: a failed or
-/// deadline-expired job is reported in its slot and the others run to
-/// completion. Job results are bit-identical to the same job run alone,
-/// whatever the parallelism. Fails only on campaign-level problems: an
-/// empty or invalid manifest, or an unusable checkpoint root.
-[[nodiscard]] Expected<CampaignResult> run_campaign(
-    const CampaignManifest& manifest, const CampaignOptions& options);
-
-// ---- Multi-process campaigns (lease-claimed workers, shard merge) ----
+// ---- Campaign roots (lease-claimed workers, shard merge) ----
 //
 // A campaign *root* directory is the shared coordination medium:
 //   <root>/manifest.json   the manifest, written once at init
@@ -206,11 +131,12 @@ struct CampaignResult {
 //   <root>/ckpt/<job>/     the job's checkpoint journal (cross-attempt)
 //   <root>/shards/<job>.json  one dfmres-campaign-shard-v1 per done job
 //   <root>/report.json     the merged dfmres-campaign-report-v1
-// Any number of worker processes may attach concurrently; jobs are
-// claimed through the lease protocol, results are published as shards
-// (exclusive create — first wins), and the merge is deterministic in
-// manifest order, so the merged report does not depend on the worker
-// count or on which workers died along the way.
+// Any number of workers — threads of one process or separate processes
+// — may attach concurrently; jobs are claimed through the lease
+// protocol, results are published as shards (exclusive create — first
+// wins), and the merge is deterministic in manifest order, so the
+// merged report does not depend on the worker count or on which
+// workers died along the way.
 
 inline constexpr const char* kCampaignShardSchema = schemas::kCampaignShard;
 
@@ -253,20 +179,37 @@ struct CampaignWorkerStats {
     const std::string& root);
 
 /// Attaches to a campaign root and drains it: claims jobs through the
-/// lease protocol, runs them one at a time (resuming from the shared
-/// checkpoint dir), publishes shards, and participates in the merge
-/// election once every job has a shard. Returns when the campaign is
+/// lease protocol in manifest order, runs them one at a time (resuming
+/// from the shared checkpoint dir), publishes shards, and participates
+/// in the merge election once every job has a shard. Returns when the campaign is
 /// complete (or the token trips). kInternal only for unusable roots and
 /// I/O failures — job-level errors become failed attempts and
 /// eventually poison shards, never worker exits.
 [[nodiscard]] Expected<CampaignWorkerStats> run_campaign_worker(
     const CampaignWorkerOptions& options);
 
+/// Runs the manifest on campaign root `root` (created or reused; see
+/// init_campaign_root) with `max_parallel_jobs` lease workers in this
+/// process: threads running the run_campaign_worker drain loop, each
+/// its own lease owner ("w<pid>.<k>"), without telemetry. The merge
+/// election runs once after they join. Returns the merged
+/// dfmres-campaign-report-v1 text, also at `<root>/report.json`.
+/// Job results are bit-identical to the same job run alone, whatever
+/// the worker count. A failing job is retried, then poisoned into the
+/// report; it never fails the campaign. A tripped token returns
+/// kCancelled (kDeadlineExceeded for a deadline) with no shard for the
+/// unfinished jobs; rerunning on the same root resumes them from
+/// `<root>/ckpt`, and a rerun on a finished root runs nothing and
+/// returns the existing report.
+[[nodiscard]] Expected<std::string> run_campaign(
+    const CampaignManifest& manifest, const std::string& root,
+    const CampaignOptions& options);
+
 // ---- Shared per-job execution core ----
 //
-// One claim-and-run pass over a single job: the unit both the
-// standalone worker (`dfmres work`) and the `dfmres serve` daemon
-// schedule through their ready queues. Everything stateful about the
+// One claim-and-run pass over a single job: the unit both the lease
+// drain loop (`dfmres work`, run_campaign's in-process workers) and the
+// `dfmres serve` daemon's ready queue schedule. Everything stateful about the
 // pass lives in the campaign root (leases, checkpoints, shards), so a
 // pass is idempotent and safe to retry from any thread or process.
 
@@ -287,7 +230,6 @@ struct CampaignJobPassContext {
   std::string root;
   const LeaseDir* leases = nullptr;
   std::string owner;
-  int total_threads = 0;  ///< resolved hardware budget
   int inner_threads = 0;  ///< resolved fault-sim lanes for the job
   const CancelToken* cancel = nullptr;
   TelemetryPublisher* telemetry = nullptr;  ///< optional
@@ -309,9 +251,11 @@ struct CampaignJobPassContext {
 /// it to `<root>/report.json` (atomic) and returns the JSON. The merge
 /// depends only on shard *content* in manifest order — any worker count
 /// and any kill schedule that produced the same shard set produces the
-/// same bytes. kFailedPrecondition when shards are missing.
+/// same canonical bytes; the fan-out arguments only fill the report's
+/// provenance header. kFailedPrecondition when shards are missing.
 [[nodiscard]] Expected<std::string> merge_campaign_shards(
-    const std::string& root);
+    const std::string& root, int jobs_in_flight = 0, int inner_threads = 0,
+    int total_threads = 0);
 
 /// Canonical projection of a `dfmres-campaign-report-v1` document: keeps
 /// the deterministic substance (per-job verdicts, fingerprints, initial/

@@ -140,7 +140,6 @@ void run_queue_item(ServeState& state, const std::string& owner,
   ctx.root = c.root;
   ctx.leases = &leases;
   ctx.owner = owner;
-  ctx.total_threads = state.options.total_threads;
   ctx.inner_threads = state.inner_threads;
   ctx.cancel = &c.token;
   ctx.max_attempts = lease_config.max_attempts;

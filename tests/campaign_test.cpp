@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -10,7 +13,10 @@
 #include "src/core/campaign.hpp"
 #include "src/library/osu018.hpp"
 #include "src/netlist/verilog.hpp"
+#include "src/util/fmt.hpp"
+#include "src/util/fsio.hpp"
 #include "src/util/json.hpp"
+#include "src/util/metrics.hpp"
 
 namespace dfmres {
 namespace {
@@ -45,6 +51,44 @@ std::string accepted_trace(const ResynthesisReport& report) {
            ";";
   }
   return out;
+}
+
+/// The same trace, read back from an embedded run report's convergence
+/// series.
+std::string accepted_trace(const JsonValue& run_report) {
+  std::string out;
+  const JsonValue* series =
+      run_report.find("resynthesis")->find("convergence");
+  for (const JsonValue& r : series->items()) {
+    if (!r.find("accepted")->as_bool()) continue;
+    const auto count = [&](const char* key) {
+      return std::to_string(
+          static_cast<std::uint64_t>(r.find(key)->as_number()));
+    };
+    out += "q" + count("q") + ":" + r.find("ban_through")->as_string() +
+           "/U" + count("undetectable") + "/S" + count("smax") + ";";
+  }
+  return out;
+}
+
+/// A fresh campaign root under the test temp dir.
+std::string fresh_root(const std::string& tag) {
+  const std::string root = testing::TempDir() + "dfmres_campaign_" + tag +
+                           "_" + std::to_string(::getpid());
+  std::filesystem::remove_all(root);
+  return root;
+}
+
+JsonValue parse_report(const std::string& text) {
+  auto doc = JsonValue::parse(text);
+  EXPECT_TRUE(doc) << doc.status().to_string();
+  return doc ? std::move(*doc) : JsonValue();
+}
+
+std::string canonical(const std::string& report) {
+  const auto canon = canonical_campaign_report(report);
+  EXPECT_TRUE(canon) << canon.status().to_string();
+  return canon ? *canon : std::string();
 }
 
 TEST(ParseDurationSpec, AcceptsSuffixes) {
@@ -180,11 +224,14 @@ TEST(CampaignManifest, ReadReportsMissingFile) {
 }
 
 TEST(Campaign, RejectsEmptyManifest) {
-  const auto result = run_campaign(CampaignManifest{}, CampaignOptions{});
+  const auto result =
+      run_campaign(CampaignManifest{}, fresh_root("empty"), CampaignOptions{});
   ASSERT_FALSE(result);
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+/// A cancelled campaign follows the lease rules: no job is claimed, no
+/// shard or report is published, and the root stays resumable.
 TEST(Campaign, SkipsEverythingWhenPreCancelled) {
   CampaignManifest manifest;
   manifest.jobs.push_back(resyn_job("a", "sparc_tlu", 0));
@@ -194,20 +241,49 @@ TEST(Campaign, SkipsEverythingWhenPreCancelled) {
   CampaignOptions options;
   options.cancel = &token;
   options.max_parallel_jobs = 2;
-  const auto result = run_campaign(manifest, options);
-  ASSERT_TRUE(result) << result.status().to_string();
-  EXPECT_EQ(result->skipped, 2u);
-  EXPECT_EQ(result->completed, 0u);
-  for (const auto& job : result->jobs) {
-    EXPECT_TRUE(job.skipped);
-    EXPECT_FALSE(job.ok());
-    EXPECT_EQ(job.status.code(), StatusCode::kCancelled);
-    EXPECT_FALSE(job.final_state.has_value());
-  }
+  const std::string root = fresh_root("cancelled");
+  const auto result = run_campaign(manifest, root, options);
+  ASSERT_FALSE(result);
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  const auto shards = list_dir(root + "/shards");
+  ASSERT_TRUE(shards) << shards.status().to_string();
+  EXPECT_TRUE(shards->empty());
+  EXPECT_FALSE(path_exists(root + "/report.json"));
 }
 
-/// One failing job (unknown design) must not disturb its neighbors, and
-/// a job whose deadline expires returns its best design, flagged.
+/// Two flow jobs on two in-process lease workers sharing one root (the
+/// TSan target): both complete, the header records the fan-out, and
+/// the canonical report equals a one-worker run's.
+TEST(Campaign, TwoInProcessWorkersMatchOneWorker) {
+  CampaignManifest manifest;
+  for (const char* name : {"tlu-a", "tlu-b"}) {
+    manifest.jobs.push_back(resyn_job(name, "sparc_tlu", 0));
+    manifest.jobs.back().mode = Mode::Flow;
+  }
+  manifest.jobs[1].flow.atpg.seed = 7;
+  CampaignOptions options;
+  options.total_threads = 2;
+  options.max_parallel_jobs = 2;
+  const auto two = run_campaign(manifest, fresh_root("two"), options);
+  ASSERT_TRUE(two) << two.status().to_string();
+  const JsonValue doc = parse_report(*two);
+  EXPECT_EQ(doc.find("completed")->as_number(), 2.0);
+  EXPECT_EQ(doc.find("jobs_in_flight")->as_number(), 2.0);
+  EXPECT_EQ(doc.find("inner_threads")->as_number(), 1.0);
+  const std::string owner_prefix = "w" + std::to_string(::getpid()) + ".";
+  for (const JsonValue& job : doc.find("jobs")->items()) {
+    EXPECT_TRUE(job.find("ok")->as_bool());
+    EXPECT_EQ(job.find("worker")->as_string().rfind(owner_prefix, 0), 0u);
+  }
+  options.max_parallel_jobs = 1;
+  const auto one = run_campaign(manifest, fresh_root("one"), options);
+  ASSERT_TRUE(one) << one.status().to_string();
+  EXPECT_EQ(canonical(*two), canonical(*one));
+}
+
+/// One failing job (unknown design) must not disturb its neighbors: it
+/// is retried, then poisoned into the report with its last error. A
+/// job whose deadline expires returns its best design, flagged.
 TEST(CampaignHeavy, IsolatesFailingAndExpiringJobs) {
   CampaignManifest manifest;
   manifest.jobs.push_back(resyn_job("good", "sparc_tlu", 0));
@@ -216,29 +292,36 @@ TEST(CampaignHeavy, IsolatesFailingAndExpiringJobs) {
   manifest.jobs[2].deadline = std::chrono::milliseconds(1);
   CampaignOptions options;
   options.max_parallel_jobs = 3;
-  const auto result = run_campaign(manifest, options);
+  const auto result = run_campaign(manifest, fresh_root("isolate"), options);
   ASSERT_TRUE(result) << result.status().to_string();
-  EXPECT_EQ(result->failed, 1u);
-  EXPECT_EQ(result->skipped, 0u);
-  EXPECT_EQ(result->completed + result->expired, 2u);
+  const JsonValue doc = parse_report(*result);
+  EXPECT_EQ(doc.find("failed")->as_number(), 1.0);
+  EXPECT_EQ(doc.find("skipped")->as_number(), 0.0);
+  EXPECT_EQ(doc.find("completed")->as_number() +
+                doc.find("expired")->as_number(),
+            2.0);
+  const auto& jobs = doc.find("jobs")->items();
+  ASSERT_EQ(jobs.size(), 3u);
 
-  const CampaignJobResult& good = result->jobs[0];
-  EXPECT_TRUE(good.ok());
-  ASSERT_TRUE(good.final_state.has_value());
-  ASSERT_TRUE(good.report.has_value());
-  EXPECT_GT(good.final_state->coverage(), 0.9);
+  const JsonValue& good = jobs[0];
+  EXPECT_TRUE(good.find("ok")->as_bool());
+  const JsonValue* good_report = good.find("report");
+  ASSERT_NE(good_report, nullptr);
+  EXPECT_GT(good_report->find("final")->find("coverage")->as_number(), 0.9);
 
-  const CampaignJobResult& missing = result->jobs[1];
-  EXPECT_FALSE(missing.ok());
-  EXPECT_FALSE(missing.skipped);
-  EXPECT_EQ(missing.status.code(), StatusCode::kNotFound);
-  EXPECT_FALSE(missing.final_state.has_value());
-  EXPECT_FALSE(missing.report.has_value());
+  const JsonValue& missing = jobs[1];
+  EXPECT_FALSE(missing.find("ok")->as_bool());
+  EXPECT_FALSE(missing.find("skipped")->as_bool());
+  EXPECT_TRUE(missing.find("poisoned")->as_bool());
+  EXPECT_NE(missing.find("status")->as_string().find("not_found"),
+            std::string::npos)
+      << missing.find("status")->as_string();
+  EXPECT_EQ(missing.find("report"), nullptr);
 
-  const CampaignJobResult& rushed = result->jobs[2];
-  EXPECT_TRUE(rushed.status.is_ok());
-  ASSERT_TRUE(rushed.final_state.has_value());
-  EXPECT_TRUE(rushed.deadline_expired);
+  const JsonValue& rushed = jobs[2];
+  EXPECT_EQ(rushed.find("status")->as_string(), "ok");
+  EXPECT_NE(rushed.find("report"), nullptr);
+  EXPECT_TRUE(rushed.find("deadline_expired")->as_bool());
 }
 
 /// The acceptance criterion of the scheduler: every job's results are
@@ -251,7 +334,7 @@ TEST(CampaignHeavy, JobsAreBitIdenticalToStandaloneRuns) {
 
   // Standalone reference runs (same options, no scheduler).
   struct Reference {
-    std::size_t u, smax, faults, tests;
+    std::size_t u, smax, faults, tests, detected;
     double coverage;
     std::string trace;
     std::uint64_t fingerprint;
@@ -267,47 +350,67 @@ TEST(CampaignHeavy, JobsAreBitIdenticalToStandaloneRuns) {
         resynthesize(flow, original, spec.resyn).value();
     refs.push_back({result.state.num_undetectable(), result.state.smax(),
                     result.state.num_faults(), result.state.atpg.tests.size(),
-                    result.state.coverage(), accepted_trace(result.report),
-                    fingerprint});
+                    result.state.atpg.num_detected, result.state.coverage(),
+                    accepted_trace(result.report), fingerprint});
   }
 
+  std::vector<std::string> canons;
   for (const int jobs : {1, 4}) {
     CampaignOptions options;
     options.max_parallel_jobs = jobs;
-    const auto result = run_campaign(manifest, options);
+    const auto result = run_campaign(
+        manifest, fresh_root("ident" + std::to_string(jobs)), options);
     ASSERT_TRUE(result) << result.status().to_string();
-    ASSERT_EQ(result->jobs.size(), refs.size());
+    const JsonValue doc = parse_report(*result);
+    const auto& entries = doc.find("jobs")->items();
+    ASSERT_EQ(entries.size(), refs.size());
     for (std::size_t i = 0; i < refs.size(); ++i) {
-      const CampaignJobResult& job = result->jobs[i];
-      ASSERT_TRUE(job.ok()) << job.name << ": " << job.status.to_string();
-      const FlowState& s = *job.final_state;
-      EXPECT_EQ(s.num_undetectable(), refs[i].u) << job.name;
-      EXPECT_EQ(s.smax(), refs[i].smax) << job.name;
-      EXPECT_EQ(s.num_faults(), refs[i].faults) << job.name;
-      EXPECT_EQ(s.atpg.tests.size(), refs[i].tests) << job.name;
-      EXPECT_EQ(s.coverage(), refs[i].coverage) << job.name;
-      EXPECT_EQ(accepted_trace(*job.resyn), refs[i].trace) << job.name;
+      const JsonValue& job = entries[i];
+      const std::string name = job.find("name")->as_string();
+      ASSERT_TRUE(job.find("ok")->as_bool())
+          << name << ": " << job.find("status")->as_string();
+      const JsonValue& report = *job.find("report");
+      const JsonValue& s = *report.find("final");
+      const auto count = [&](const char* key) {
+        return static_cast<std::size_t>(s.find(key)->as_number());
+      };
+      EXPECT_EQ(count("undetectable"), refs[i].u) << name;
+      EXPECT_EQ(count("smax"), refs[i].smax) << name;
+      EXPECT_EQ(count("faults"), refs[i].faults) << name;
+      EXPECT_EQ(count("tests"), refs[i].tests) << name;
+      EXPECT_EQ(count("detected"), refs[i].detected) << name;
+      EXPECT_NEAR(s.find("coverage")->as_number(), refs[i].coverage, 1e-9)
+          << name;
+      EXPECT_EQ(accepted_trace(report), refs[i].trace) << name;
+      EXPECT_EQ(report.find("fingerprint")->as_string(),
+                strfmt("%016llx",
+                       static_cast<unsigned long long>(refs[i].fingerprint)))
+          << name;
     }
+    canons.push_back(canonical(*result));
   }
+  EXPECT_EQ(canons[0], canons[1]);
 }
 
 /// The campaign report parses as strict JSON and carries the schema,
-/// per-job run reports and the merged metrics.
+/// per-job run reports and the merged metrics; it is the document the
+/// root holds.
 TEST(CampaignHeavy, ReportValidates) {
   CampaignManifest manifest;
   manifest.jobs.push_back(resyn_job("tlu", "sparc_tlu", 0));
   manifest.jobs[0].mode = Mode::Flow;
-  CampaignOptions options;
-  const auto result = run_campaign(manifest, options);
+  const std::string root = fresh_root("validates");
+  const auto result = run_campaign(manifest, root, CampaignOptions{});
   ASSERT_TRUE(result) << result.status().to_string();
+  const auto on_disk = read_file(root + "/report.json");
+  ASSERT_TRUE(on_disk) << on_disk.status().to_string();
+  EXPECT_EQ(*on_disk, *result);
 
-  const auto doc = JsonValue::parse(result->report_json());
-  ASSERT_TRUE(doc) << doc.status().to_string();
-  ASSERT_TRUE(doc->is_object());
-  EXPECT_EQ(doc->find("schema")->as_string(), "dfmres-campaign-report-v1");
-  EXPECT_EQ(doc->find("jobs_total")->as_number(), 1.0);
-  EXPECT_EQ(doc->find("completed")->as_number(), 1.0);
-  const JsonValue& jobs = *doc->find("jobs");
+  const JsonValue doc = parse_report(*result);
+  EXPECT_EQ(doc.find("schema")->as_string(), "dfmres-campaign-report-v1");
+  EXPECT_EQ(doc.find("jobs_total")->as_number(), 1.0);
+  EXPECT_EQ(doc.find("completed")->as_number(), 1.0);
+  const JsonValue& jobs = *doc.find("jobs");
   ASSERT_TRUE(jobs.is_array());
   ASSERT_EQ(jobs.items().size(), 1u);
   const JsonValue& job = jobs.items()[0];
@@ -318,39 +421,40 @@ TEST(CampaignHeavy, ReportValidates) {
   EXPECT_EQ(report->find("command")->as_string(), "flow");
   ASSERT_NE(report->find("final"), nullptr);
   EXPECT_GT(report->find("final")->find("coverage")->as_number(), 0.9);
-  const JsonValue* metrics = doc->find("metrics");
+  const JsonValue* metrics = doc.find("metrics");
   ASSERT_NE(metrics, nullptr);
   EXPECT_TRUE(metrics->is_object());
 
-  // The merged metrics match a manifest-order merge of the shards.
+  // The merged metrics carry the job's shard.
   MetricsRegistry merged;
-  result->merge_metrics_into(merged);
+  ASSERT_TRUE(merged.merge_json(*metrics).is_ok());
   EXPECT_GT(merged.counter("atpg.patterns_simulated"), 0u);
 }
 
 /// A mapped .v design file runs through the campaign's flow mode.
 TEST(CampaignHeavy, LoadsVerilogDesignFiles) {
-  CampaignManifest first;
-  first.jobs.push_back(resyn_job("tlu", "sparc_tlu", 0));
-  first.jobs[0].mode = Mode::Flow;
-  const auto flow_result = run_campaign(first, CampaignOptions{});
-  ASSERT_TRUE(flow_result) << flow_result.status().to_string();
-  ASSERT_TRUE(flow_result->jobs[0].ok());
+  CampaignJobSpec spec = resyn_job("mapped", "sparc_tlu", 0);
+  DesignFlow flow(osu018_library(), spec.flow);
+  const FlowState standalone =
+      flow.run_initial(build_benchmark("sparc_tlu").value()).value();
 
   const std::string path = testing::TempDir() + "dfmres_campaign_design.v";
   {
     std::ofstream out(path);
-    write_verilog(flow_result->jobs[0].final_state->netlist, out);
+    write_verilog(standalone.netlist, out);
   }
-  CampaignManifest second;
-  second.jobs.push_back(resyn_job("mapped", path, 0));
-  second.jobs[0].mode = Mode::Flow;
-  const auto result = run_campaign(second, CampaignOptions{});
+  CampaignManifest manifest;
+  spec.design = path;
+  spec.mode = Mode::Flow;
+  manifest.jobs.push_back(spec);
+  const auto result =
+      run_campaign(manifest, fresh_root("verilog"), CampaignOptions{});
   ASSERT_TRUE(result) << result.status().to_string();
-  const CampaignJobResult& job = result->jobs[0];
-  ASSERT_TRUE(job.ok()) << job.status.to_string();
-  EXPECT_EQ(job.final_state->num_faults(),
-            flow_result->jobs[0].final_state->num_faults());
+  const JsonValue doc = parse_report(*result);
+  const JsonValue& job = doc.find("jobs")->items()[0];
+  ASSERT_TRUE(job.find("ok")->as_bool()) << job.find("status")->as_string();
+  EXPECT_EQ(job.find("report")->find("final")->find("faults")->as_number(),
+            static_cast<double>(standalone.num_faults()));
 }
 
 /// The consolidated API contract the deleted pre-campaign shims used to

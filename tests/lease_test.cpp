@@ -382,9 +382,10 @@ TEST(CampaignWorkerHeavy, SigkilledWorkerResumesToIdenticalCanonicalReport) {
   // Uninterrupted serial reference, same inner budget as the workers.
   CampaignOptions serial;
   serial.total_threads = 1;
-  const auto reference = run_campaign(manifest, serial);
+  const auto reference = run_campaign(
+      manifest, make_lease_root("sigkill_ref") + "/camp", serial);
   ASSERT_TRUE(reference) << reference.status().to_string();
-  const auto want = canonical_campaign_report(reference->report_json());
+  const auto want = canonical_campaign_report(*reference);
   ASSERT_TRUE(want) << want.status().to_string();
 
   const std::string root = make_lease_root("sigkill") + "/camp";

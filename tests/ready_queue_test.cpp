@@ -161,7 +161,9 @@ TEST(ReadyQueue, FifoPerProducer) {
     for (const std::uint64_t v : log) {
       const std::size_t p = static_cast<std::size_t>(v >> 32);
       const std::uint64_t s = v & 0xffffffffu;
-      if (seen[p]) EXPECT_GT(s, last[p]) << "producer " << p;
+      if (seen[p]) {
+        EXPECT_GT(s, last[p]) << "producer " << p;
+      }
       seen[p] = true;
       last[p] = s;
     }
@@ -187,7 +189,9 @@ TEST(ReadyQueue, MpmcStressExactlyOnce) {
       for (std::uint64_t s = 0; s < kPerProducer; ++s) {
         const std::uint64_t v = static_cast<std::uint64_t>(p) * kPerProducer + s;
         // Mix non-blocking and blocking pushes.
-        if (!q.try_push(v)) ASSERT_TRUE(q.push(v).is_ok());
+        if (!q.try_push(v)) {
+          ASSERT_TRUE(q.push(v).is_ok());
+        }
       }
     });
   }

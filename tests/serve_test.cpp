@@ -62,8 +62,8 @@ CampaignManifest flow_manifest(int jobs) {
   return manifest;
 }
 
-std::string canon_of(const CampaignResult& result) {
-  const auto canon = canonical_campaign_report(result.report_json());
+std::string canon_of(const std::string& report) {
+  const auto canon = canonical_campaign_report(report);
   EXPECT_TRUE(canon) << canon.status().to_string();
   return canon ? *canon : std::string();
 }
@@ -224,9 +224,11 @@ TEST(ServeHeavy, TwoClientsConcurrentCampaignsCanonIdentical) {
 
   CampaignOptions serial;
   serial.total_threads = 1;
-  const auto ref_alpha = run_campaign(alpha, serial);
+  const auto ref_alpha =
+      run_campaign(alpha, make_root("two_ref") + "/alpha", serial);
   ASSERT_TRUE(ref_alpha) << ref_alpha.status().to_string();
-  const auto ref_beta = run_campaign(beta, serial);
+  const auto ref_beta =
+      run_campaign(beta, make_root("two_ref") + "/beta", serial);
   ASSERT_TRUE(ref_beta) << ref_beta.status().to_string();
 
   const std::string root = make_root("two") + "/serve";
@@ -358,7 +360,8 @@ TEST(ServeHeavy, SigkillRestartResumesByteIdentical) {
   const CampaignManifest manifest = flow_manifest(3);
   CampaignOptions serial;
   serial.total_threads = 1;
-  const auto reference = run_campaign(manifest, serial);
+  const auto reference =
+      run_campaign(manifest, make_root("sigkill_ref") + "/gamma", serial);
   ASSERT_TRUE(reference) << reference.status().to_string();
 
   const std::string root = make_root("sigkill") + "/serve";

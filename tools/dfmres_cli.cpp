@@ -10,14 +10,14 @@
 //                [--deadline 30s] [--checkpoint DIR] [--resume]
 //       Run the flow and then the paper's two-phase resynthesis
 //       procedure; print the before/after comparison.
-//   dfmres campaign <--manifest F|--table2> [--jobs N] [--threads N]
-//       Run a batched multi-design sweep from a campaign manifest, N
-//       jobs in flight, and write one aggregated campaign report. With
-//       --workers N --campaign-root DIR the sweep instead runs as N
-//       forked worker processes claiming jobs through lease files in
-//       DIR; crashed workers are respawned and their jobs resumed from
-//       the shared checkpoints, and the shards are merged into
-//       DIR/report.json.
+//   dfmres campaign <--manifest F|--table2> --campaign-root DIR [--jobs N]
+//       Run a batched multi-design sweep from a campaign manifest on the
+//       campaign root DIR: N lease workers in this process claim the
+//       jobs, and their shards are merged into DIR/report.json.
+//       Rerunning on the same DIR resumes an interrupted sweep. With
+//       --workers N the workers are instead N forked processes; crashed
+//       ones are respawned and their jobs resumed from the shared
+//       checkpoints.
 //   dfmres work --campaign-root DIR
 //       Attach one worker process to an existing campaign root (the
 //       elastic half of --workers: extra workers can join a running
@@ -54,6 +54,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -80,6 +81,7 @@
 #include "src/netlist/stats.hpp"
 #include "src/netlist/verilog.hpp"
 #include "src/synth/mapper.hpp"
+#include "src/util/fmt.hpp"
 #include "src/util/fsio.hpp"
 #include "src/util/json.hpp"
 #include "src/util/metrics.hpp"
@@ -144,12 +146,10 @@ const char* g_argv0 = "dfmres";
 /// trace_event JSON), --metrics-out (merged counters/gauges/histograms/
 /// series) and --report-out (the run or campaign report). Commands
 /// constructed `with_robustness` additionally take the robustness trio:
-/// --deadline, --checkpoint (or the name passed as `checkpoint_flag`,
-/// e.g. --checkpoint-root for `campaign`) and --resume.
+/// --deadline, --checkpoint and --resume.
 struct CommonRunFlags {
-  explicit CommonRunFlags(bool with_robustness,
-                          const char* checkpoint_flag = "--checkpoint")
-      : with_robustness_(with_robustness), checkpoint_flag_(checkpoint_flag) {}
+  explicit CommonRunFlags(bool with_robustness)
+      : with_robustness_(with_robustness) {}
 
   std::string trace_out;
   std::string metrics_out;
@@ -188,7 +188,7 @@ struct CommonRunFlags {
       }
       return true;
     }
-    if (take(checkpoint_flag_, &checkpoint)) return true;
+    if (take("--checkpoint", &checkpoint)) return true;
     if (!std::strcmp(argv[*i], "--resume")) {
       resume = true;
       return true;
@@ -214,12 +214,11 @@ struct CommonRunFlags {
 
   /// Writes the requested outputs. Returns false if any write failed.
   [[nodiscard]] bool flush(const RunReport& report) const {
-    return flush_impl(
-        [&](const std::string& path) { return report.write_json(path); });
-  }
-  [[nodiscard]] bool flush(const CampaignResult& result) const {
-    return flush_impl(
-        [&](const std::string& path) { return result.write_report(path); });
+    bool ok = flush_observability();
+    if (!report_out.empty()) {
+      ok = emit(report_out, report.write_json(report_out)) && ok;
+    }
+    return ok;
   }
 
   /// The error/drain-path flush: whatever spans and metrics the run got
@@ -229,43 +228,29 @@ struct CommonRunFlags {
   /// finished run and is skipped).
   bool flush_observability() const {
     bool ok = true;
-    const auto emit = [&](const std::string& path, const Status& s) {
-      if (path.empty()) return;
-      if (s.is_ok()) {
-        std::printf("wrote %s\n", path.c_str());
-      } else {
-        std::fprintf(stderr, "%s\n", s.to_string().c_str());
-        ok = false;
-      }
-    };
     if (!trace_out.empty()) {
-      emit(trace_out, Tracer::instance().write_chrome_json(trace_out));
+      ok = emit(trace_out, Tracer::instance().write_chrome_json(trace_out));
     }
     if (!metrics_out.empty()) {
-      emit(metrics_out, MetricsRegistry::global().write_json(metrics_out));
+      ok = emit(metrics_out,
+                MetricsRegistry::global().write_json(metrics_out)) &&
+           ok;
     }
     return ok;
+  }
+
+  /// Reports one output write: "wrote PATH" or the error.
+  static bool emit(const std::string& path, const Status& s) {
+    if (!s.is_ok()) {
+      std::fprintf(stderr, "%s\n", s.to_string().c_str());
+      return false;
+    }
+    std::printf("wrote %s\n", path.c_str());
+    return true;
   }
 
  private:
-  template <typename WriteReport>
-  [[nodiscard]] bool flush_impl(const WriteReport& write_report) const {
-    bool ok = flush_observability();
-    const auto emit = [&](const std::string& path, const Status& s) {
-      if (path.empty()) return;
-      if (s.is_ok()) {
-        std::printf("wrote %s\n", path.c_str());
-      } else {
-        std::fprintf(stderr, "%s\n", s.to_string().c_str());
-        ok = false;
-      }
-    };
-    if (!report_out.empty()) emit(report_out, write_report(report_out));
-    return ok;
-  }
-
   bool with_robustness_;
-  const char* checkpoint_flag_;
 };
 
 int usage() {
@@ -283,12 +268,11 @@ int usage() {
                "               [--deadline D] [--checkpoint DIR] [--resume]\n"
                "               [--trace-out F] [--metrics-out F] "
                "[--report-out F]\n"
-               "  dfmres campaign <--manifest F|--table2> [--jobs N] "
-               "[--threads N] [--deadline D]\n"
-               "               [--checkpoint-root DIR] [--resume] "
-               "[--emit-table2 F]\n"
-               "               [--workers N --campaign-root DIR "
-               "[--heartbeat D] [--lease-ttl D] [--max-attempts N]]\n"
+               "  dfmres campaign <--manifest F|--table2> --campaign-root DIR "
+               "[--jobs N] [--threads N]\n"
+               "               [--deadline D] [--emit-table2 F]\n"
+               "               [--workers N [--heartbeat D] [--lease-ttl D] "
+               "[--max-attempts N]]\n"
                "               [--trace-out F] [--metrics-out F] "
                "[--report-out F]\n"
                "  dfmres work --campaign-root DIR [--owner ID] [--threads N]\n"
@@ -317,14 +301,17 @@ int usage() {
                "benchmark, q_max 5)\n"
                "  --emit-table2 F: write the Table II sweep manifest to F "
                "and exit\n"
-               "  --jobs N: campaign jobs in flight at once; each gets "
-               "total-threads/N fault-sim lanes\n"
+               "  --jobs N: lease workers in this process (jobs in flight); "
+               "each gets total-threads/N\n"
+               "                  fault-sim lanes\n"
                "  --workers N: fork N worker processes claiming jobs via "
                "lease files in --campaign-root\n"
                "                  (crash-tolerant: dead workers are "
                "respawned, jobs resume from shared checkpoints)\n"
                "  --campaign-root DIR: the shared coordination directory "
-               "(manifest, leases, checkpoints, shards, report)\n"
+               "(manifest, leases, checkpoints, shards, report);\n"
+               "                  rerunning a campaign on the same DIR "
+               "resumes it\n"
                "  --heartbeat D: worker lease refresh period "
                "(default 500ms)\n"
                "  --lease-ttl D: heartbeat age after which a lease is "
@@ -638,6 +625,84 @@ int cmd_resyn(int argc, char** argv) {
   return exit_code(0);
 }
 
+/// The campaign tail shared by --jobs and --workers: prints one row per
+/// job and the totals from the merged `<root>/report.json`, writes the
+/// requested outputs, and derives the exit code from the report, so it
+/// matches what any consumer of report.json would conclude.
+int finish_campaign(const std::string& root, const CommonRunFlags& obs,
+                    const std::string& fanout) {
+  const std::string report_path = root + "/report.json";
+  const auto text = read_file(report_path);
+  if (!text) {
+    std::fprintf(stderr, "%s\n", text.status().to_string().c_str());
+    return 1;
+  }
+  const auto doc = JsonValue::parse(*text);
+  if (!doc || !doc->is_object()) {
+    std::fprintf(stderr, "%s: not a campaign report\n", report_path.c_str());
+    return 1;
+  }
+  const auto count = [&](const JsonValue& obj, const char* key) {
+    const JsonValue* v = obj.find(key);
+    return v != nullptr && v->is_number() ? v->as_number() : 0.0;
+  };
+  const auto flag = [](const JsonValue& obj, const char* key) {
+    const JsonValue* v = obj.find(key);
+    return v != nullptr && v->is_bool() && v->as_bool();
+  };
+  const auto text_of = [](const JsonValue& obj, const char* key) {
+    const JsonValue* v = obj.find(key);
+    return v != nullptr && v->is_string() ? v->as_string() : std::string();
+  };
+  if (const JsonValue* jobs = doc->find("jobs"); jobs && jobs->is_array()) {
+    for (const JsonValue& job : jobs->items()) {
+      const std::string name = text_of(job, "name");
+      const JsonValue* run = job.find("report");
+      const JsonValue* fin = run != nullptr ? run->find("final") : nullptr;
+      if (flag(job, "skipped")) {
+        std::printf("%-16s skipped\n", name.c_str());
+      } else if (!flag(job, "ok") || fin == nullptr) {
+        std::printf("%-16s FAILED: %s\n", name.c_str(),
+                    text_of(job, "status").c_str());
+      } else {
+        std::printf("%-16s U=%-5.0f cov=%6.2f%%  Smax=%-5.0f (%.2f%% of F)  "
+                    "%.1fs%s\n",
+                    name.c_str(), count(*fin, "undetectable"),
+                    100.0 * count(*fin, "coverage"), count(*fin, "smax"),
+                    count(*fin, "smax_pct"), count(job, "runtime_seconds"),
+                    flag(job, "deadline_expired") ? "  (deadline expired)"
+                                                  : "");
+      }
+    }
+  }
+  std::printf("campaign: %.0f completed, %.0f expired, %.0f failed, %.0f "
+              "skipped  (%s)\n",
+              count(*doc, "completed"), count(*doc, "expired"),
+              count(*doc, "failed"), count(*doc, "skipped"), fanout.c_str());
+  std::printf("wrote %s\n", report_path.c_str());
+  if (const JsonValue* metrics = doc->find("metrics")) {
+    (void)MetricsRegistry::global().merge_json(*metrics);
+  }
+  bool ok = obs.flush_observability();
+  if (!obs.report_out.empty() && obs.report_out != report_path) {
+    ok = CommonRunFlags::emit(obs.report_out,
+                              write_file_atomic(obs.report_out, *text,
+                                                "cli")) &&
+         ok;
+  }
+  if (!ok) return 1;
+  return count(*doc, "failed") == 0 && count(*doc, "skipped") == 0 ? 0 : 1;
+}
+
+/// An interrupted campaign publishes nothing for its unfinished jobs;
+/// the root keeps their checkpoints for the rerun.
+int campaign_interrupted(const std::string& root, const CommonRunFlags& obs) {
+  std::fprintf(stderr, "interrupted: campaign root %s keeps its "
+               "checkpoints; rerun to resume\n", root.c_str());
+  (void)obs.flush_observability();
+  return 130;
+}
+
 /// Forks one `dfmres work` child attached to `root`. Returns the pid or
 /// -1 (reported). The child never returns from here.
 pid_t spawn_worker(const std::string& root, int threads,
@@ -746,61 +811,20 @@ int run_worker_campaign(const CampaignManifest& manifest,
                    "exhausted\n", static_cast<int>(pid));
     }
   }
-  if (interrupted()) {
-    std::fprintf(stderr, "interrupted: campaign root %s keeps its "
-                 "checkpoints; rerun to resume\n", root.c_str());
-    return 130;
-  }
+  if (interrupted()) return campaign_interrupted(root, obs);
   // Normally the last worker out merges; cover the window where every
   // worker died between the final shard publish and the merge.
-  const std::string report_path = root + "/report.json";
-  if (!path_exists(report_path)) {
+  if (!path_exists(root + "/report.json")) {
     const auto merged = merge_campaign_shards(root);
     if (!merged) {
       std::fprintf(stderr, "%s\n", merged.status().to_string().c_str());
       return 1;
     }
   }
-  const auto report_text = read_file(report_path);
-  if (!report_text) {
-    std::fprintf(stderr, "%s\n", report_text.status().to_string().c_str());
-    return 1;
-  }
-  // Campaign verdict straight from the merged document, so the exit
-  // code matches what any consumer of report.json would conclude.
-  long failed = 0;
-  long skipped = 0;
-  const auto doc = JsonValue::parse(*report_text);
-  if (doc) {
-    if (const JsonValue* v = doc->find("failed")) {
-      failed = static_cast<long>(v->as_number());
-    }
-    if (const JsonValue* v = doc->find("skipped")) {
-      skipped = static_cast<long>(v->as_number());
-    }
-    const auto print_count = [&](const char* key) {
-      const JsonValue* v = doc->find(key);
-      std::printf(" %s=%ld", key, v ? static_cast<long>(v->as_number()) : 0);
-    };
-    std::printf("campaign:");
-    print_count("jobs_total");
-    print_count("completed");
-    print_count("expired");
-    print_count("failed");
-    print_count("skipped");
-    std::printf("  (%d worker(s), %d failure(s) absorbed)\n", workers,
-                worker_failures);
-  }
-  std::printf("wrote %s\n", report_path.c_str());
-  if (!obs.report_out.empty() && obs.report_out != report_path) {
-    if (Status s = write_file_atomic(obs.report_out, *report_text, "cli");
-        !s.is_ok()) {
-      std::fprintf(stderr, "%s\n", s.to_string().c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", obs.report_out.c_str());
-  }
-  return failed == 0 && skipped == 0 ? 0 : 1;
+  return finish_campaign(root, obs,
+                         strfmt("%d worker process(es), %d failure(s) "
+                                "absorbed",
+                                workers, worker_failures));
 }
 
 /// Validated duration flag: keeps the original spelling (forwarded to
@@ -819,14 +843,15 @@ int cmd_campaign(int argc, char** argv) {
   std::string manifest_path;
   std::string emit_path;
   bool table2 = false;
+  long jobs = 1;
+  long threads = 0;
   long workers = 0;
   long max_attempts = 3;
   std::string campaign_root;
   std::string heartbeat;
   std::string lease_ttl;
   std::string snapshot_interval;
-  CampaignOptions options;
-  CommonRunFlags obs(/*with_robustness=*/true, "--checkpoint-root");
+  CommonRunFlags obs(/*with_robustness=*/false);
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--manifest") && i + 1 < argc) {
       manifest_path = argv[++i];
@@ -835,13 +860,17 @@ int cmd_campaign(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--emit-table2") && i + 1 < argc) {
       emit_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-      long jobs = 0;
       if (!parse_long("--jobs", argv[++i], 1, 1024, &jobs)) return 2;
-      options.max_parallel_jobs = static_cast<int>(jobs);
     } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      long threads = 0;
       if (!parse_long("--threads", argv[++i], 0, 1024, &threads)) return 2;
-      options.total_threads = static_cast<int>(threads);
+    } else if (!std::strcmp(argv[i], "--deadline") && i + 1 < argc) {
+      const auto d = parse_duration_spec(argv[++i]);
+      if (!d) {
+        std::fprintf(stderr, "--deadline: %s\n",
+                     d.status().to_string().c_str());
+        return 2;
+      }
+      obs.deadline = *d;
     } else if (!std::strcmp(argv[i], "--workers") && i + 1 < argc) {
       if (!parse_long("--workers", argv[++i], 1, 256, &workers)) return 2;
     } else if (!std::strcmp(argv[i], "--campaign-root") && i + 1 < argc) {
@@ -868,7 +897,6 @@ int cmd_campaign(int argc, char** argv) {
       return usage();
     }
   }
-  if (obs.failed) return 2;
   if (!emit_path.empty()) {
     const Status s = table2_manifest().write_json(emit_path);
     if (!s.is_ok()) {
@@ -883,12 +911,11 @@ int cmd_campaign(int argc, char** argv) {
                  "campaign needs exactly one of --manifest F or --table2\n");
     return 2;
   }
-  if (obs.resume && obs.checkpoint.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint-root DIR\n");
+  if (campaign_root.empty()) {
+    std::fprintf(stderr, "campaign requires --campaign-root DIR (rerun on "
+                 "the same DIR to resume)\n");
     return 2;
   }
-  options.checkpoint_root = obs.checkpoint;
-  options.resume = obs.resume;
   obs.arm();
   const auto manifest = table2 ? Expected<CampaignManifest>(table2_manifest())
                                : CampaignManifest::read(manifest_path);
@@ -897,55 +924,28 @@ int cmd_campaign(int argc, char** argv) {
     return 1;
   }
   if (workers > 0) {
-    if (campaign_root.empty()) {
-      std::fprintf(stderr, "--workers requires --campaign-root DIR\n");
-      return 2;
-    }
     return run_worker_campaign(*manifest, campaign_root,
                                static_cast<int>(workers),
-                               options.total_threads, heartbeat, lease_ttl,
-                               max_attempts, snapshot_interval, obs);
-  }
-  if (!campaign_root.empty()) {
-    std::fprintf(stderr, "--campaign-root requires --workers N (use "
-                 "'dfmres work' to attach to an existing root)\n");
-    return 2;
+                               static_cast<int>(threads), heartbeat,
+                               lease_ttl, max_attempts, snapshot_interval,
+                               obs);
   }
   const CancelToken cancel = obs.make_cancel();
+  CampaignOptions options;
+  options.max_parallel_jobs = static_cast<int>(jobs);
+  options.total_threads = static_cast<int>(threads);
   options.cancel = &cancel;
-  const auto result = run_campaign(*manifest, options);
-  if (!result) {
-    std::fprintf(stderr, "%s\n", result.status().to_string().c_str());
+  const auto report = run_campaign(*manifest, campaign_root, options);
+  if (interrupted()) return campaign_interrupted(campaign_root, obs);
+  if (!report) {
+    std::fprintf(stderr, "%s\n", report.status().to_string().c_str());
+    (void)obs.flush_observability();
     return 1;
   }
-  for (const auto& job : result->jobs) {
-    if (job.skipped) {
-      std::printf("%-16s skipped (%s)\n", job.name.c_str(),
-                  job.status.to_string().c_str());
-    } else if (!job.status.is_ok()) {
-      std::printf("%-16s FAILED: %s\n", job.name.c_str(),
-                  job.status.to_string().c_str());
-    } else {
-      const FlowState& s = *job.final_state;
-      std::printf("%-16s U=%-5zu cov=%6.2f%%  Smax=%-5zu (%.2f%% of F)  "
-                  "%.1fs%s\n",
-                  job.name.c_str(), s.num_undetectable(),
-                  100.0 * s.coverage(), s.smax(), 100.0 * s.smax_fraction(),
-                  job.seconds,
-                  job.deadline_expired ? "  (deadline expired)" : "");
-    }
-  }
-  std::printf("campaign: %zu completed, %zu expired, %zu failed, %zu "
-              "skipped in %.1fs (%d job(s) x %d lane(s))\n",
-              result->completed, result->expired, result->failed,
-              result->skipped, result->seconds, result->jobs_in_flight,
-              result->inner_threads);
-  result->merge_metrics_into(MetricsRegistry::global());
-  if (!obs.flush(*result)) return 1;
-  if (interrupted()) {
-    std::fprintf(stderr, "interrupted: partial campaign report flushed\n");
-  }
-  return exit_code(result->failed == 0 && result->skipped == 0 ? 0 : 1);
+  return finish_campaign(
+      campaign_root, obs,
+      strfmt("%zu in-process worker(s)",
+             std::min(static_cast<std::size_t>(jobs), manifest->jobs.size())));
 }
 
 /// `dfmres work`: one worker process attached to a campaign root.
