@@ -9,6 +9,19 @@
 
 namespace dfmres {
 
+namespace {
+
+/// Tags an extraction span with the universe size and the work behind it.
+void extract_args(TraceSpan& span, std::size_t faults,
+                  const ExtractStats& work) {
+  if (!span.active()) return;
+  span.arg("faults", static_cast<std::uint64_t>(faults));
+  span.arg("bridge_pairs", work.bridge_pairs);
+  span.arg("windows", work.windows);
+}
+
+}  // namespace
+
 DesignFlow::DesignFlow(std::shared_ptr<const Library> target,
                        FlowOptions options)
     : target_(std::move(target)), options_(options), udfm_(*target_) {}
@@ -110,8 +123,10 @@ FlowState DesignFlow::analyze_committed(
   stage.emplace("flow.sta", "flow");
   TimingPower timing = analyze_timing_power(netlist, routing, options_.sta);
   stage.emplace("flow.extract_faults", "flow");
+  ExtractStats extract_work;
   FaultUniverse universe =
-      extract_dfm_faults(netlist, placement, routing, udfm_);
+      extract_dfm_faults(netlist, placement, routing, udfm_, &extract_work);
+  extract_args(*stage, universe.size(), extract_work);
   stage.emplace("flow.atpg", "flow");
   AtpgOptions atpg_options = options_.atpg;
   atpg_options.generate_tests = generate_tests;
@@ -172,8 +187,10 @@ Expected<FlowState> DesignFlow::probe_reanalyze_impl(
   stage.emplace("flow.probe.sta", "flow");
   TimingPower timing = analyze_timing_power(netlist, routing, options_.sta);
   stage.emplace("flow.probe.extract", "flow");
+  ExtractStats extract_work;
   FaultUniverse universe =
-      extract_dfm_faults(netlist, *placement, routing, udfm_);
+      extract_dfm_faults(netlist, *placement, routing, udfm_, &extract_work);
+  extract_args(*stage, universe.size(), extract_work);
   stage.reset();
   AtpgOptions atpg_options = options_.atpg;
   atpg_options.generate_tests = generate_tests;
@@ -213,7 +230,9 @@ Expected<std::size_t> DesignFlow::probe_count_impl(
   TraceSpan probe_span("flow.u_in_probe", "flow");
   const FaultUniverse internal = [&] {
     TraceSpan span("flow.u_in_probe.extract", "flow");
-    return extract_internal_faults(nl, udfm_);
+    FaultUniverse faults = extract_internal_faults(nl, udfm_);
+    extract_args(span, faults.size(), {});
+    return faults;
   }();
   AtpgOptions atpg_options = options_.atpg;
   atpg_options.generate_tests = false;

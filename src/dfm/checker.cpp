@@ -1,8 +1,9 @@
 #include "src/dfm/checker.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace dfmres {
 
@@ -42,44 +43,69 @@ int tightest_family_low(GuidelineCategory cat, int first, int last,
   return best;
 }
 
-}  // namespace
+/// Metal-category indices of the parallel-run bridge families.
+constexpr int kRunFirst = 18, kRunLast = 23;
 
-std::size_t internal_fault_count(const Library& lib, const UdfmMap& udfm,
-                                 CellId cell) {
-  const CellSpec& spec = lib.cell(cell);
-  const CellUdfm& cu = udfm.of(cell);
-  std::size_t count = 0;
+/// Shortest overlap any parallel-run family flags: its smallest
+/// threshold, rounded up to whole gcells.
+int min_parallel_run() {
+  const auto guidelines = all_guidelines();
+  double threshold = guidelines[guideline_id(GuidelineCategory::Metal,
+                                             kRunFirst)].threshold;
+  for (int i = kRunFirst + 1; i <= kRunLast; ++i) {
+    threshold = std::min(
+        threshold,
+        guidelines[guideline_id(GuidelineCategory::Metal, i)].threshold);
+  }
+  return static_cast<int>(std::ceil(threshold));
+}
+
+/// Indices of `cell`'s enumerated defect sites that are guideline
+/// violations in its layout, in enumeration order.
+std::vector<std::uint32_t> selected_defects(const CellSpec& spec,
+                                            const CellUdfm& cu) {
+  std::vector<std::uint32_t> selected;
   for (std::size_t i = 0; i < cu.faults.size(); ++i) {
     if (cell_defect_selected(spec.name, i, spec.network.transistors.size(),
                              cu.faults[i].defect.kind,
                              cu.faults[i].patterns.empty())) {
-      ++count;
+      selected.push_back(static_cast<std::uint32_t>(i));
     }
   }
-  return count;
+  return selected;
+}
+
+}  // namespace
+
+std::size_t internal_fault_count(const Library& lib, const UdfmMap& udfm,
+                                 CellId cell) {
+  return selected_defects(lib.cell(cell), udfm.of(cell)).size();
 }
 
 FaultUniverse extract_internal_faults(const Netlist& nl,
                                       const UdfmMap& udfm) {
   FaultUniverse universe;
+  // The selection depends on the cell type only: evaluate it once per
+  // type used, not once per instance.
+  std::vector<std::vector<std::uint32_t>> selected(nl.library().num_cells());
+  std::vector<std::uint8_t> evaluated(selected.size(), 0);
   for (GateId g : nl.live_gates()) {
     const CellSpec& spec = nl.cell_of(g);
     if (spec.sequential || spec.network.empty()) continue;
-    const CellUdfm& cu = udfm.of(nl.gate(g).cell);
-    for (std::size_t i = 0; i < cu.faults.size(); ++i) {
-      if (!cell_defect_selected(spec.name, i,
-                                spec.network.transistors.size(),
-                                cu.faults[i].defect.kind,
-                                cu.faults[i].patterns.empty())) {
-        continue;
-      }
+    const CellId cell = nl.gate(g).cell;
+    const CellUdfm& cu = udfm.of(cell);
+    if (!evaluated[cell.value()]) {
+      selected[cell.value()] = selected_defects(spec, cu);
+      evaluated[cell.value()] = 1;
+    }
+    for (const std::uint32_t i : selected[cell.value()]) {
       Fault f;
       f.kind = FaultKind::CellAware;
       f.scope = FaultScope::Internal;
       f.owner = g;
       f.victim = nl.gate(g).outputs[0];
       f.cell_output = 0;
-      f.udfm_index = static_cast<std::uint32_t>(i);
+      f.udfm_index = i;
       f.guideline = guideline_for_cell_defect(cu.faults[i].defect);
       universe.faults.push_back(f);
       // Charge-sharing-masked sites sit at marginal geometries that
@@ -102,19 +128,23 @@ FaultUniverse extract_internal_faults(const Netlist& nl,
 
 FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
                                  const RoutingResult& routes,
-                                 const UdfmMap& udfm) {
+                                 const UdfmMap& udfm, ExtractStats* stats) {
   FaultUniverse universe = extract_internal_faults(nl, udfm);
   auto& out = universe.faults;
+  ExtractStats work;
 
   // Multiple physical sites can violate the same guideline on the same
   // net; the fault list (like a production ATPG fault list) carries one
-  // logic fault per distinct (net, guideline) target.
-  std::unordered_set<std::uint64_t> seen;
+  // logic fault per distinct (net, guideline) target. One guideline
+  // bitset per net slot records the targets already emitted.
+  static_assert(kNumGuidelines <= 64);
+  std::vector<std::uint64_t> seen(nl.net_capacity(), 0);
   const auto push_pair = [&](FaultKind kind, NetId net,
                              std::uint16_t guideline) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(net.value()) << 8) | guideline;
-    if (!seen.insert(key).second) return;
+    std::uint64_t& word = seen[net.value()];
+    const std::uint64_t bit = std::uint64_t{1} << guideline;
+    if ((word & bit) != 0) return;
+    word |= bit;
     for (const bool v : {false, true}) {
       Fault f;
       f.kind = kind;
@@ -170,31 +200,42 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
 
   // ---- Metal parallel-run bridges ----
   {
-    // Group segments by (orientation, line).
-    std::unordered_map<std::uint64_t, std::vector<const RouteSegment*>> lines;
+    // Group segments by (orientation, line), each with its net's track.
+    struct LineSegment {
+      int lo, hi;
+      NetId net;
+      int track;
+    };
+    std::unordered_map<std::uint64_t, std::vector<LineSegment>> lines;
     for (const RouteSegment& s : routes.segments) {
       const std::uint64_t key =
           (static_cast<std::uint64_t>(s.horizontal) << 32) |
           static_cast<std::uint32_t>(s.fixed);
-      lines[key].push_back(&s);
+      lines[key].push_back({s.lo, s.hi, s.net, routes.track_of(s.net)});
     }
+    // A pair reaches a family only if it overlaps by min_run gcells.
+    // Sorted by lo, a's overlap with b is at most a.hi - b.lo + 1, so
+    // once b.lo passes a.hi + 1 - min_run no later segment can reach one.
+    const int min_run = min_parallel_run();
+    // Bridge keys carry gids 37-42, which no single-net rule uses.
+    std::set<std::uint64_t> bridged;
     for (auto& [key, segs] : lines) {
       std::sort(segs.begin(), segs.end(),
-                [](const RouteSegment* a, const RouteSegment* b) {
-                  return a->lo < b->lo;
+                [](const LineSegment& a, const LineSegment& b) {
+                  return a.lo < b.lo;
                 });
       for (std::size_t i = 0; i < segs.size(); ++i) {
+        const LineSegment& a = segs[i];
+        const int last_lo = a.hi + 1 - min_run;
         for (std::size_t j = i + 1; j < segs.size(); ++j) {
-          const RouteSegment& a = *segs[i];
-          const RouteSegment& b = *segs[j];
-          if (b.lo > a.hi) break;  // sorted by lo: no further overlaps
+          const LineSegment& b = segs[j];
+          if (b.lo > last_lo) break;
+          ++work.bridge_pairs;
           if (a.net == b.net) continue;
-          const int track_a = routes.track_of(a.net);
-          const int track_b = routes.track_of(b.net);
-          if (std::abs(track_a - track_b) != 1) continue;  // not adjacent
+          if (std::abs(a.track - b.track) != 1) continue;  // not adjacent
           const int overlap = std::min(a.hi, b.hi) - std::max(a.lo, b.lo) + 1;
-          const int fam = tightest_family(GuidelineCategory::Metal, 18, 23,
-                                          overlap);
+          const int fam = tightest_family(GuidelineCategory::Metal, kRunFirst,
+                                          kRunLast, overlap);
           if (fam < 0) continue;
           const std::uint16_t gid =
               guideline_id(GuidelineCategory::Metal, fam);
@@ -206,7 +247,7 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
                    std::max(a.net.value(), b.net.value()))
                << 8) |
               gid;
-          if (!seen.insert(pair_key).second) continue;
+          if (!bridged.insert(pair_key).second) continue;
           for (const BridgeType type : {BridgeType::DomAnd, BridgeType::DomOr}) {
             for (const bool victim_is_a : {true, false}) {
               Fault f;
@@ -269,6 +310,7 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
           }
         }
         if (cells == 0) continue;
+        ++work.windows;
         util /= cells;
         wiring /= cells;
 
@@ -290,6 +332,7 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
     }
   }
 
+  if (stats != nullptr) *stats = work;
   return universe;
 }
 

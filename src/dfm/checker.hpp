@@ -21,6 +21,12 @@ namespace dfmres {
 [[nodiscard]] FaultUniverse extract_internal_faults(const Netlist& nl,
                                                     const UdfmMap& udfm);
 
+/// Work done by one extraction, for trace spans and benchmarks.
+struct ExtractStats {
+  std::uint64_t bridge_pairs = 0;  ///< same-line segment pairs examined
+  std::uint64_t windows = 0;       ///< density windows evaluated
+};
+
 /// Scans the placed-and-routed design against all 59 DFM guidelines and
 /// translates every violation into logic faults:
 ///  - intra-cell violations -> cell-aware (UDFM) internal faults,
@@ -32,6 +38,7 @@ namespace dfmres {
 [[nodiscard]] FaultUniverse extract_dfm_faults(const Netlist& nl,
                                                const Placement& pl,
                                                const RoutingResult& routes,
-                                               const UdfmMap& udfm);
+                                               const UdfmMap& udfm,
+                                               ExtractStats* stats = nullptr);
 
 }  // namespace dfmres

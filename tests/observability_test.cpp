@@ -142,6 +142,15 @@ class ScopedTracing {
   }
 };
 
+/// Value of a numeric span arg; fails the test when the span lacks it.
+std::uint64_t arg_u64(const TraceEvent& e, std::string_view key) {
+  for (const auto& [k, v] : e.args) {
+    if (k == key) return std::stoull(v);
+  }
+  ADD_FAILURE() << e.name << " has no arg " << key;
+  return 0;
+}
+
 // ---------------------------------------------------------------------
 // Tracer.
 // ---------------------------------------------------------------------
@@ -423,9 +432,18 @@ TEST(Trace, ResynthesisProbeStagesNestUnderTheirProbe) {
     if (name.starts_with("flow.probe.")) {
       EXPECT_EQ(parent_name, "flow.probe") << name;
       ++nested[name];
+      if (name == "flow.probe.extract") {
+        EXPECT_GT(arg_u64(e, "faults"), 0u);
+        EXPECT_GT(arg_u64(e, "bridge_pairs"), 0u);
+        EXPECT_GT(arg_u64(e, "windows"), 0u);
+      }
     } else if (name == "flow.u_in_probe.extract") {
       EXPECT_EQ(parent_name, "flow.u_in_probe");
       ++nested[name];
+      // Internal faults only: no wires, no windows.
+      EXPECT_GT(arg_u64(e, "faults"), 0u);
+      EXPECT_EQ(arg_u64(e, "bridge_pairs"), 0u);
+      EXPECT_EQ(arg_u64(e, "windows"), 0u);
     } else if (name == "atpg.resolve") {
       EXPECT_EQ(parent_name, "atpg.run");
       ++nested[name];
@@ -434,6 +452,35 @@ TEST(Trace, ResynthesisProbeStagesNestUnderTheirProbe) {
   EXPECT_GT(nested["flow.probe.extract"], 0u);
   EXPECT_GT(nested["flow.u_in_probe.extract"], 0u);
   EXPECT_GT(nested["atpg.resolve"], 0u);
+}
+
+/// The committed extraction span carries the universe size and the work
+/// behind its time: same-line segment pairs examined and density windows
+/// evaluated (4x4-gcell windows at stride 2 tile the grid).
+TEST(Trace, ExtractSpanCarriesWorkCounters) {
+  DesignFlow flow(osu018_library(), fast_options());
+  std::vector<TraceEvent> events;
+  std::size_t faults = 0;
+  int grid_w = 0, grid_h = 0;
+  {
+    ScopedTracing tracing;
+    const FlowState state = flow.run_initial(small_block()).value();
+    events = Tracer::instance().snapshot();
+    faults = state.universe.size();
+    grid_w = state.routing.grid_w;
+    grid_h = state.routing.grid_h;
+  }
+  std::size_t spans = 0;
+  for (const TraceEvent& e : events) {
+    if (std::string_view(e.name) != "flow.extract_faults") continue;
+    ++spans;
+    EXPECT_EQ(arg_u64(e, "faults"), faults);
+    EXPECT_GT(arg_u64(e, "bridge_pairs"), 0u);
+    EXPECT_EQ(arg_u64(e, "windows"),
+              static_cast<std::uint64_t>((grid_w + 1) / 2) *
+                  static_cast<std::uint64_t>((grid_h + 1) / 2));
+  }
+  EXPECT_EQ(spans, 1u);
 }
 
 TEST(RunReportTest, DeadlineExpiryProducesPartialReport) {
