@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <unordered_map>
+#include <tuple>
 
 namespace dfmres {
 
@@ -46,18 +46,22 @@ int tightest_family_low(GuidelineCategory cat, int first, int last,
 /// Metal-category indices of the parallel-run bridge families.
 constexpr int kRunFirst = 18, kRunLast = 23;
 
-/// Shortest overlap any parallel-run family flags: its smallest
-/// threshold, rounded up to whole gcells.
-int min_parallel_run() {
+/// Tightest parallel-run family of each overlap length up to the longest
+/// threshold; longer overlaps take the last entry.
+std::vector<int> parallel_run_families() {
   const auto guidelines = all_guidelines();
-  double threshold = guidelines[guideline_id(GuidelineCategory::Metal,
-                                             kRunFirst)].threshold;
-  for (int i = kRunFirst + 1; i <= kRunLast; ++i) {
-    threshold = std::min(
-        threshold,
+  double longest = 0.0;
+  for (int i = kRunFirst; i <= kRunLast; ++i) {
+    longest = std::max(
+        longest,
         guidelines[guideline_id(GuidelineCategory::Metal, i)].threshold);
   }
-  return static_cast<int>(std::ceil(threshold));
+  std::vector<int> families;
+  for (int len = 0; len <= static_cast<int>(std::ceil(longest)); ++len) {
+    families.push_back(
+        tightest_family(GuidelineCategory::Metal, kRunFirst, kRunLast, len));
+  }
+  return families;
 }
 
 /// Indices of `cell`'s enumerated defect sites that are guideline
@@ -200,65 +204,71 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
 
   // ---- Metal parallel-run bridges ----
   {
-    // Group segments by (orientation, line), each with its net's track.
+    // One record per segment, its net's track computed once. Lines are
+    // indexed densely by (orientation, coordinate): vertical columns,
+    // then horizontal rows. Sorting by (line, lo, hi, net) groups each
+    // line and fixes the scan order by geometry and net ids alone.
     struct LineSegment {
-      int lo, hi;
+      int line, lo, hi;
       NetId net;
       int track;
     };
-    std::unordered_map<std::uint64_t, std::vector<LineSegment>> lines;
+    std::vector<LineSegment> segs;
+    segs.reserve(routes.segments.size());
     for (const RouteSegment& s : routes.segments) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(s.horizontal) << 32) |
-          static_cast<std::uint32_t>(s.fixed);
-      lines[key].push_back({s.lo, s.hi, s.net, routes.track_of(s.net)});
+      segs.push_back({s.horizontal ? routes.grid_w + s.fixed : s.fixed, s.lo,
+                      s.hi, s.net, routes.track_of(s.net)});
     }
-    // A pair reaches a family only if it overlaps by min_run gcells.
-    // Sorted by lo, a's overlap with b is at most a.hi - b.lo + 1, so
-    // once b.lo passes a.hi + 1 - min_run no later segment can reach one.
-    const int min_run = min_parallel_run();
+    std::sort(segs.begin(), segs.end(),
+              [](const LineSegment& a, const LineSegment& b) {
+                return std::tie(a.line, a.lo, a.hi, a.net) <
+                       std::tie(b.line, b.lo, b.hi, b.net);
+              });
+    // A pair reaches a family only if it overlaps by min_run gcells, the
+    // shortest threshold. Sorted by lo, a's overlap with b is at most
+    // a.hi - b.lo + 1, so once b.lo passes a.hi + 1 - min_run no later
+    // segment on the line can reach one.
+    const std::vector<int> run_family = parallel_run_families();
+    const int max_run = static_cast<int>(run_family.size()) - 1;
+    const int min_run = static_cast<int>(
+        std::find_if(run_family.begin(), run_family.end(),
+                     [](int fam) { return fam >= 0; }) -
+        run_family.begin());
     // Bridge keys carry gids 37-42, which no single-net rule uses.
     std::set<std::uint64_t> bridged;
-    for (auto& [key, segs] : lines) {
-      std::sort(segs.begin(), segs.end(),
-                [](const LineSegment& a, const LineSegment& b) {
-                  return a.lo < b.lo;
-                });
-      for (std::size_t i = 0; i < segs.size(); ++i) {
-        const LineSegment& a = segs[i];
-        const int last_lo = a.hi + 1 - min_run;
-        for (std::size_t j = i + 1; j < segs.size(); ++j) {
-          const LineSegment& b = segs[j];
-          if (b.lo > last_lo) break;
-          ++work.bridge_pairs;
-          if (a.net == b.net) continue;
-          if (std::abs(a.track - b.track) != 1) continue;  // not adjacent
-          const int overlap = std::min(a.hi, b.hi) - std::max(a.lo, b.lo) + 1;
-          const int fam = tightest_family(GuidelineCategory::Metal, kRunFirst,
-                                          kRunLast, overlap);
-          if (fam < 0) continue;
-          const std::uint16_t gid =
-              guideline_id(GuidelineCategory::Metal, fam);
-          const std::uint64_t pair_key =
-              (static_cast<std::uint64_t>(
-                   std::min(a.net.value(), b.net.value()))
-               << 40) |
-              (static_cast<std::uint64_t>(
-                   std::max(a.net.value(), b.net.value()))
-               << 8) |
-              gid;
-          if (!bridged.insert(pair_key).second) continue;
-          for (const BridgeType type : {BridgeType::DomAnd, BridgeType::DomOr}) {
-            for (const bool victim_is_a : {true, false}) {
-              Fault f;
-              f.kind = FaultKind::Bridge;
-              f.scope = FaultScope::External;
-              f.victim = victim_is_a ? a.net : b.net;
-              f.aggressor = victim_is_a ? b.net : a.net;
-              f.bridge_type = type;
-              f.guideline = gid;
-              out.push_back(f);
-            }
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+      const LineSegment& a = segs[i];
+      const int last_lo = a.hi + 1 - min_run;
+      for (std::size_t j = i + 1; j < segs.size(); ++j) {
+        const LineSegment& b = segs[j];
+        if (b.line != a.line || b.lo > last_lo) break;
+        ++work.bridge_pairs;
+        if (a.net == b.net) continue;
+        if (std::abs(a.track - b.track) != 1) continue;  // not adjacent
+        const int overlap = std::min(a.hi, b.hi) - std::max(a.lo, b.lo) + 1;
+        const int fam = run_family[std::min(overlap, max_run)];
+        if (fam < 0) continue;
+        const std::uint16_t gid =
+            guideline_id(GuidelineCategory::Metal, fam);
+        const std::uint64_t pair_key =
+            (static_cast<std::uint64_t>(
+                 std::min(a.net.value(), b.net.value()))
+             << 40) |
+            (static_cast<std::uint64_t>(
+                 std::max(a.net.value(), b.net.value()))
+             << 8) |
+            gid;
+        if (!bridged.insert(pair_key).second) continue;
+        for (const BridgeType type : {BridgeType::DomAnd, BridgeType::DomOr}) {
+          for (const bool victim_is_a : {true, false}) {
+            Fault f;
+            f.kind = FaultKind::Bridge;
+            f.scope = FaultScope::External;
+            f.victim = victim_is_a ? a.net : b.net;
+            f.aggressor = victim_is_a ? b.net : a.net;
+            f.bridge_type = type;
+            f.guideline = gid;
+            out.push_back(f);
           }
         }
       }
@@ -291,6 +301,10 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
       }
     }
 
+    // Per-window gcell count of each net, and the nets in the order the
+    // window first touches them (row-major gcells, routing order within).
+    std::vector<int> net_gcells(nl.net_capacity(), 0);
+    std::vector<NetId> touched;
     constexpr int kWindow = 4, kStride = 2;
     const double cap2 = 2.0 * routes.options.capacity_per_layer;
     for (int wy = 0; wy < gh; wy += kStride) {
@@ -299,17 +313,17 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
         const int y1 = std::min(wy + kWindow, gh);
         double util = 0.0, wiring = 0.0;
         int cells = 0;
-        std::unordered_map<std::uint32_t, int> net_gcells;
         for (int y = wy; y < y1; ++y) {
           for (int x = wx; x < x1; ++x) {
             const std::size_t c = routes.cell(x, y);
             util += occupancy[c];
             wiring += (routes.h_usage[c] + routes.v_usage[c]) / cap2;
             ++cells;
-            for (NetId n : nets_in[c]) ++net_gcells[n.value()];
+            for (NetId n : nets_in[c]) {
+              if (net_gcells[n.value()]++ == 0) touched.push_back(n);
+            }
           }
         }
-        if (cells == 0) continue;
         ++work.windows;
         util /= cells;
         wiring /= cells;
@@ -323,11 +337,15 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
           if (fam < 0) continue;
           const std::uint16_t gid =
               guideline_id(GuidelineCategory::Density, fam);
-          for (const auto& [net_value, count] : net_gcells) {
-            if (count < 2) continue;  // only wires really inside the window
-            push_pair(FaultKind::Transition, NetId{net_value}, gid);
+          for (const NetId n : touched) {
+            // Only wires really inside the window.
+            if (net_gcells[n.value()] >= 2) {
+              push_pair(FaultKind::Transition, n, gid);
+            }
           }
         }
+        for (const NetId n : touched) net_gcells[n.value()] = 0;
+        touched.clear();
       }
     }
   }

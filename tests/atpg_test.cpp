@@ -1258,10 +1258,10 @@ TEST_P(PinnedSearch, ReproducesVerdictsAndBacktracks) {
 
 INSTANTIATE_TEST_SUITE_P(
     Blocks, PinnedSearch,
-    ::testing::Values(PinnedRun{"sparc_ffu", 17874, 287, 2575, 14316, 320, 0,
-                                250, 10012770089142975350ull},
+    ::testing::Values(PinnedRun{"sparc_ffu", 17874, 287, 2573, 14316, 320, 0,
+                                250, 2556323376117266181ull},
                       PinnedRun{"sparc_tlu", 1371, 19, 146, 3651, 90, 0, 153,
-                                12407970115796060017ull}),
+                                14349678010731787791ull}),
     [](const auto& info) { return std::string(info.param.block); });
 
 }  // namespace
