@@ -6,8 +6,10 @@
 # ladder (warm_start_test), the core flow (core_test), the engine
 # itself (atpg_test), and the copy-on-write probe overlays
 # (overlay_test — baseline frame aliasing and the per-batch dirty-slot
-# replay are exactly the pointer gymnastics ASan is for). Any report
-# aborts with a non-zero exit.
+# replay are exactly the pointer gymnastics ASan is for), and the DFM
+# extractor (dfm_test: flat arrays indexed by net slot and gcell line,
+# checked against the reference extractor on every Table-II block). Any
+# report aborts with a non-zero exit.
 # Usage: scripts/run_asan.sh [build-dir]
 set -eu
 
@@ -17,7 +19,8 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target warm_start_test core_test atpg_test overlay_test lease_test
+  --target warm_start_test core_test atpg_test overlay_test lease_test \
+  dfm_test
 
 # Fail loudly on the first report from either sanitizer.
 SAN_ENV="halt_on_error=1 exitcode=66"
@@ -38,5 +41,7 @@ ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
 # in the regular build (forking an ASan child doubles the shadow).
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/lease_test" --gtest_filter='-CampaignWorkerHeavy.*'
+ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
+  "$BUILD_DIR/tests/dfm_test"
 
 echo "ASan/UBSan: no reports."
