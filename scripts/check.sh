@@ -149,6 +149,19 @@ cmp "$CAMP_DIR/first_report.json" "$CAMP_DIR/root/report.json"
 cmp "$CAMP_DIR/first_report.json" "$CAMP_DIR/report.json"
 echo "campaign gate: rerun on the finished root ran nothing"
 
+# Lease flags belong to --workers N: without it they are a usage error
+# (exit 2), not silently ignored.
+set +e
+"$BUILD_DIR/tools/dfmres" campaign --manifest "$CAMP_DIR/manifest.json" \
+  --jobs 1 --max-attempts 1 --campaign-root "$CAMP_DIR/flag_root" \
+  > "$CAMP_DIR/flag.log" 2>&1
+flag_rc=$?
+set -e
+test "$flag_rc" -eq 2
+grep -q -- "--max-attempts applies to --workers N only" "$CAMP_DIR/flag.log"
+test ! -e "$CAMP_DIR/flag_root"
+echo "campaign gate: lease flags without --workers exit 2"
+
 # Chaos gate: the same manifest as a 2-worker lease-claimed campaign
 # with deterministic SIGKILL injection (each worker dies at its 2nd
 # checkpoint append and again when it first stages a shard; the

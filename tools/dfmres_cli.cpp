@@ -85,6 +85,7 @@
 #include "src/util/fsio.hpp"
 #include "src/util/json.hpp"
 #include "src/util/metrics.hpp"
+#include "src/util/thread_pool.hpp"
 #include "src/util/trace.hpp"
 
 namespace {
@@ -272,7 +273,8 @@ int usage() {
                "[--jobs N] [--threads N]\n"
                "               [--deadline D] [--emit-table2 F]\n"
                "               [--workers N [--heartbeat D] [--lease-ttl D] "
-               "[--max-attempts N]]\n"
+               "[--max-attempts N]\n"
+               "                            [--snapshot-interval D]]\n"
                "               [--trace-out F] [--metrics-out F] "
                "[--report-out F]\n"
                "  dfmres work --campaign-root DIR [--owner ID] [--threads N]\n"
@@ -815,7 +817,10 @@ int run_worker_campaign(const CampaignManifest& manifest,
   // Normally the last worker out merges; cover the window where every
   // worker died between the final shard publish and the merge.
   if (!path_exists(root + "/report.json")) {
-    const auto merged = merge_campaign_shards(root);
+    // Each worker process runs one job at a time on `threads` lanes.
+    const int lanes = ThreadPool::resolve_threads(threads);
+    const auto merged =
+        merge_campaign_shards(root, workers, lanes, workers * lanes);
     if (!merged) {
       std::fprintf(stderr, "%s\n", merged.status().to_string().c_str());
       return 1;
@@ -851,6 +856,7 @@ int cmd_campaign(int argc, char** argv) {
   std::string heartbeat;
   std::string lease_ttl;
   std::string snapshot_interval;
+  const char* worker_flag = nullptr;  // last lease flag given (--workers only)
   CommonRunFlags obs(/*with_robustness=*/false);
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--manifest") && i + 1 < argc) {
@@ -876,10 +882,13 @@ int cmd_campaign(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--campaign-root") && i + 1 < argc) {
       campaign_root = argv[++i];
     } else if (!std::strcmp(argv[i], "--heartbeat") && i + 1 < argc) {
+      worker_flag = argv[i];
       if (!take_duration("--heartbeat", argv[++i], &heartbeat)) return 2;
     } else if (!std::strcmp(argv[i], "--lease-ttl") && i + 1 < argc) {
+      worker_flag = argv[i];
       if (!take_duration("--lease-ttl", argv[++i], &lease_ttl)) return 2;
     } else if (!std::strcmp(argv[i], "--snapshot-interval") && i + 1 < argc) {
+      worker_flag = argv[i];
       // "0" (disable) is meaningful here, unlike other duration flags.
       ++i;
       if (std::strcmp(argv[i], "0") != 0 &&
@@ -888,6 +897,7 @@ int cmd_campaign(int argc, char** argv) {
       }
       snapshot_interval = argv[i];
     } else if (!std::strcmp(argv[i], "--max-attempts") && i + 1 < argc) {
+      worker_flag = argv[i];
       if (!parse_long("--max-attempts", argv[++i], 1, 100, &max_attempts)) {
         return 2;
       }
@@ -896,6 +906,11 @@ int cmd_campaign(int argc, char** argv) {
     } else {
       return usage();
     }
+  }
+  if (worker_flag != nullptr && workers == 0) {
+    std::fprintf(stderr, "campaign: %s applies to --workers N only\n",
+                 worker_flag);
+    return 2;
   }
   if (!emit_path.empty()) {
     const Status s = table2_manifest().write_json(emit_path);
