@@ -252,10 +252,11 @@ struct CampaignJobPassContext {
 /// depends only on shard *content* in manifest order — any worker count
 /// and any kill schedule that produced the same shard set produces the
 /// same canonical bytes; the fan-out arguments only fill the report's
-/// provenance header. kFailedPrecondition when shards are missing.
+/// provenance header, so every caller states its own.
+/// kFailedPrecondition when shards are missing.
 [[nodiscard]] Expected<std::string> merge_campaign_shards(
-    const std::string& root, int jobs_in_flight = 0, int inner_threads = 0,
-    int total_threads = 0);
+    const std::string& root, int jobs_in_flight, int inner_threads,
+    int total_threads);
 
 /// Canonical projection of a `dfmres-campaign-report-v1` document: keeps
 /// the deterministic substance (per-job verdicts, fingerprints, initial/

@@ -97,7 +97,9 @@ struct ServeState {
   std::vector<WorkerEvent> events;
   int wake_write = -1;
   std::atomic<std::size_t> inflight{0};
-  int inner_threads = 1;
+  int workers = 1;        ///< jobs in flight at once
+  int inner_threads = 1;  ///< fault-sim lanes per job
+  int total_threads = 1;  ///< the hardware budget split across workers
 
   ServeCampaign& campaign(std::size_t index) {
     std::lock_guard<std::mutex> lock(mutex);
@@ -176,7 +178,9 @@ void run_queue_item(ServeState& state, const std::string& owner,
 
   if (event.terminal && campaign_shards_complete(c.root, c.manifest) &&
       !c.merge_claimed.exchange(true)) {
-    auto merged = merge_campaign_shards(c.root);
+    auto merged = merge_campaign_shards(c.root, state.workers,
+                                        state.inner_threads,
+                                        state.total_threads);
     if (merged) {
       event.campaign_done = true;
       event.report_json = std::move(*merged);
@@ -465,7 +469,9 @@ Status Server::admit(const std::string& id, CampaignManifest manifest,
     // last shard and the merge): merge inline so the campaign
     // completes without a worker touching it.
     if (!c.merge_claimed.exchange(true)) {
-      auto merged = merge_campaign_shards(root);
+      auto merged = merge_campaign_shards(root, state_.workers,
+                                          state_.inner_threads,
+                                          state_.total_threads);
       if (merged) {
         WorkerEvent event;
         event.campaign = index;
@@ -711,7 +717,9 @@ Expected<ServeStats> Server::run() {
 
   const int workers = std::max(1, options_.workers);
   const int total = ThreadPool::resolve_threads(options_.total_threads);
+  state_.workers = workers;
   state_.inner_threads = ThreadPool::lanes_per_job(total, workers);
+  state_.total_threads = total;
   log(LogLevel::Info,
       "serve: root %s, socket %s, %d worker(s), %d lane(s) each",
       options_.campaign_root.c_str(), options_.socket_path.c_str(), workers,

@@ -265,6 +265,23 @@ TEST(ServeHeavy, TwoClientsConcurrentCampaignsCanonIdentical) {
   // Canon byte-identity against the serial scheduler, per campaign.
   EXPECT_EQ(canon_of_file(root + "/alpha/report.json"), canon_of(*ref_alpha));
   EXPECT_EQ(canon_of_file(root + "/beta/report.json"), canon_of(*ref_beta));
+
+  // The provenance header records the daemon's fan-out: four workers,
+  // one lane each out of four threads.
+  for (const char* id : {"alpha", "beta"}) {
+    const auto text = read_file(root + "/" + id + "/report.json");
+    ASSERT_TRUE(text) << text.status().to_string();
+    const auto report = JsonValue::parse(*text);
+    ASSERT_TRUE(report) << report.status().to_string();
+    for (const char* field :
+         {"jobs_in_flight", "inner_threads", "total_threads"}) {
+      const JsonValue* value = report->find(field);
+      ASSERT_NE(value, nullptr) << id << ": " << field;
+      EXPECT_GT(value->as_number(), 0.0) << id << ": " << field;
+    }
+    EXPECT_EQ(report->find("jobs_in_flight")->as_number(), 4.0) << id;
+    EXPECT_EQ(report->find("total_threads")->as_number(), 4.0) << id;
+  }
 }
 
 /// Admission control rejects, never queues silently: duplicate ids,
