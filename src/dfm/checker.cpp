@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <tuple>
+#include <vector>
 
 namespace dfmres {
 
@@ -91,18 +93,16 @@ FaultUniverse extract_internal_faults(const Netlist& nl,
   FaultUniverse universe;
   // The selection depends on the cell type only: evaluate it once per
   // type used, not once per instance.
-  std::vector<std::vector<std::uint32_t>> selected(nl.library().num_cells());
-  std::vector<std::uint8_t> evaluated(selected.size(), 0);
+  std::vector<std::optional<std::vector<std::uint32_t>>> selected(
+      nl.library().num_cells());
   for (GateId g : nl.live_gates()) {
     const CellSpec& spec = nl.cell_of(g);
     if (spec.sequential || spec.network.empty()) continue;
     const CellId cell = nl.gate(g).cell;
     const CellUdfm& cu = udfm.of(cell);
-    if (!evaluated[cell.value()]) {
-      selected[cell.value()] = selected_defects(spec, cu);
-      evaluated[cell.value()] = 1;
-    }
-    for (const std::uint32_t i : selected[cell.value()]) {
+    auto& sites = selected[cell.value()];
+    if (!sites) sites = selected_defects(spec, cu);
+    for (const std::uint32_t i : *sites) {
       Fault f;
       f.kind = FaultKind::CellAware;
       f.scope = FaultScope::Internal;
