@@ -1,7 +1,6 @@
 #include "src/dfm/checker.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -48,22 +47,14 @@ int tightest_family_low(GuidelineCategory cat, int first, int last,
 /// Metal-category indices of the parallel-run bridge families.
 constexpr int kRunFirst = 18, kRunLast = 23;
 
-/// Tightest parallel-run family of each overlap length up to the longest
-/// threshold; longer overlaps take the last entry.
-std::vector<int> parallel_run_families() {
-  const auto guidelines = all_guidelines();
-  double longest = 0.0;
-  for (int i = kRunFirst; i <= kRunLast; ++i) {
-    longest = std::max(
-        longest,
-        guidelines[guideline_id(GuidelineCategory::Metal, i)].threshold);
+/// Shortest overlap any parallel-run family flags.
+int min_parallel_run() {
+  int len = 0;
+  while (tightest_family(GuidelineCategory::Metal, kRunFirst, kRunLast,
+                         len) < 0) {
+    ++len;
   }
-  std::vector<int> families;
-  for (int len = 0; len <= static_cast<int>(std::ceil(longest)); ++len) {
-    families.push_back(
-        tightest_family(GuidelineCategory::Metal, kRunFirst, kRunLast, len));
-  }
-  return families;
+  return len;
 }
 
 /// Indices of `cell`'s enumerated defect sites that are guideline
@@ -228,12 +219,7 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
     // shortest threshold. Sorted by lo, a's overlap with b is at most
     // a.hi - b.lo + 1, so once b.lo passes a.hi + 1 - min_run no later
     // segment on the line can reach one.
-    const std::vector<int> run_family = parallel_run_families();
-    const int max_run = static_cast<int>(run_family.size()) - 1;
-    const int min_run = static_cast<int>(
-        std::find_if(run_family.begin(), run_family.end(),
-                     [](int fam) { return fam >= 0; }) -
-        run_family.begin());
+    const int min_run = min_parallel_run();
     // Bridge keys carry gids 37-42, which no single-net rule uses.
     std::set<std::uint64_t> bridged;
     for (std::size_t i = 0; i < segs.size(); ++i) {
@@ -246,7 +232,8 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
         if (a.net == b.net) continue;
         if (std::abs(a.track - b.track) != 1) continue;  // not adjacent
         const int overlap = std::min(a.hi, b.hi) - std::max(a.lo, b.lo) + 1;
-        const int fam = run_family[std::min(overlap, max_run)];
+        const int fam = tightest_family(GuidelineCategory::Metal, kRunFirst,
+                                        kRunLast, overlap);
         if (fam < 0) continue;
         const std::uint16_t gid =
             guideline_id(GuidelineCategory::Metal, fam);
