@@ -40,7 +40,7 @@ inline ResynthesisOptions bench_resyn_options() {
 }
 
 /// DFMRES_BENCH_COLD=1 selects the cold-start reference configuration:
-/// no seed-test replay / cone trust, no candidate dedup, serial ladder.
+/// no seed-test replay / cone trust, no candidate dedup.
 /// Results are identical to the default warm configuration; only wall
 /// clock moves (bench_table2 verifies this when it runs both).
 inline bool bench_cold_mode() {
@@ -52,7 +52,6 @@ inline void apply_cold_mode(FlowOptions& flow_options,
                             ResynthesisOptions& resyn_options) {
   flow_options.warm_start = false;
   resyn_options.dedup_candidates = false;
-  resyn_options.parallel_ladder = false;
 }
 
 /// Environment override: DFMRES_BENCH_CIRCUITS="tv80,aes_core" restricts a

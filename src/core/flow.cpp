@@ -168,7 +168,7 @@ FlowState DesignFlow::analyze_committed(
 Expected<FlowState> DesignFlow::probe_reanalyze_impl(
     Netlist netlist, const Placement& previous, bool generate_tests,
     const FaultStatusCache* base_cache, FaultStatusCache* updates,
-    FaultSimArena* arena, int num_threads, const CancelToken* cancel,
+    FaultSimArena* arena, const CancelToken* cancel,
     AtpgCounters* counters) const {
   if (cancel_expired(cancel)) return cancel->to_status();
   TraceSpan probe_span("flow.probe", "flow");
@@ -196,7 +196,6 @@ Expected<FlowState> DesignFlow::probe_reanalyze_impl(
   atpg_options.generate_tests = generate_tests;
   atpg_options.arena = arena;
   atpg_options.cancel = cancel;
-  if (num_threads != 0) atpg_options.num_threads = num_threads;
   if (options_.warm_start && !seed_tests_.empty()) {
     atpg_options.seed_tests = &seed_tests_;
     if (options_.probe_overlays && probe_baseline_.valid()) {
@@ -224,7 +223,7 @@ Expected<FlowState> DesignFlow::probe_reanalyze_impl(
 
 Expected<std::size_t> DesignFlow::probe_count_impl(
     const Netlist& nl, const FaultStatusCache* base_cache,
-    FaultStatusCache* updates, FaultSimArena* arena, int num_threads,
+    FaultStatusCache* updates, FaultSimArena* arena,
     const CancelToken* cancel, AtpgCounters* counters) const {
   if (cancel_expired(cancel)) return cancel->to_status();
   TraceSpan probe_span("flow.u_in_probe", "flow");
@@ -238,7 +237,6 @@ Expected<std::size_t> DesignFlow::probe_count_impl(
   atpg_options.generate_tests = false;
   atpg_options.arena = arena;
   atpg_options.cancel = cancel;
-  if (num_threads != 0) atpg_options.num_threads = num_threads;
   if (options_.warm_start && !seed_tests_.empty()) {
     atpg_options.seed_tests = &seed_tests_;
     if (options_.probe_overlays && probe_baseline_.valid()) {
@@ -261,13 +259,13 @@ Expected<FlowState> ProbeSession::reanalyze(Netlist netlist,
                                             bool generate_tests) {
   return flow_->probe_reanalyze_impl(std::move(netlist), previous,
                                      generate_tests, base_, &updates_, arena_,
-                                     num_threads_, cancel_, &counters_);
+                                     cancel_, &counters_);
 }
 
 Expected<std::size_t> ProbeSession::count_undetectable_internal(
     const Netlist& nl) {
-  return flow_->probe_count_impl(nl, base_, &updates_, arena_, num_threads_,
-                                 cancel_, &counters_);
+  return flow_->probe_count_impl(nl, base_, &updates_, arena_, cancel_,
+                                 &counters_);
 }
 
 void DesignFlow::rebase_overlays(const Netlist& nl) {

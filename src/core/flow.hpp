@@ -110,8 +110,8 @@ class DesignFlow;
 /// session's private overlay, so probes of the same candidate reuse each
 /// other's verdicts while the flow itself stays untouched. `arena`
 /// (nullable = call-local buffers) provides reusable simulator scratch;
-/// `num_threads` overrides the fault-sim fan-out (pass 1 from inside a
-/// thread-pool job); `cancel` makes the session's ATPG cancellable.
+/// the session's ATPG fans fault simulation out over the flow's
+/// `atpg.num_threads`; `cancel` makes the session's ATPG cancellable.
 ///
 /// Probes are the cancellable part of the flow (committed analyses
 /// always run to completion): kUnsatisfiable = the die cannot absorb the
@@ -125,13 +125,9 @@ class DesignFlow;
 class ProbeSession {
  public:
   ProbeSession(const DesignFlow& flow, const FaultStatusCache* base_cache,
-               FaultSimArena* arena = nullptr, int num_threads = 0,
+               FaultSimArena* arena = nullptr,
                const CancelToken* cancel = nullptr)
-      : flow_(&flow),
-        base_(base_cache),
-        arena_(arena),
-        num_threads_(num_threads),
-        cancel_(cancel) {}
+      : flow_(&flow), base_(base_cache), arena_(arena), cancel_(cancel) {}
 
   /// Speculative re-analysis of an edited netlist inside the frozen
   /// floorplan of `previous` (incremental placement, rerouting, STA, DFM
@@ -161,7 +157,6 @@ class ProbeSession {
   const DesignFlow* flow_;
   const FaultStatusCache* base_;
   FaultSimArena* arena_;
-  int num_threads_;
   const CancelToken* cancel_;
   FaultStatusCache updates_;
   AtpgCounters counters_;
@@ -197,9 +192,8 @@ class DesignFlow {
 
   /// Opens a probe session against this flow's committed cache.
   [[nodiscard]] ProbeSession probe(FaultSimArena* arena = nullptr,
-                                   int num_threads = 0,
                                    const CancelToken* cancel = nullptr) const {
-    return ProbeSession(*this, &cache_, arena, num_threads, cancel);
+    return ProbeSession(*this, &cache_, arena, cancel);
   }
 
   /// Folds a finished session into the flow: its overlay becomes part of
@@ -288,19 +282,19 @@ class DesignFlow {
   [[nodiscard]] Expected<FlowState> probe_reanalyze_impl(
       Netlist netlist, const Placement& previous, bool generate_tests,
       const FaultStatusCache* base_cache, FaultStatusCache* updates,
-      FaultSimArena* arena, int num_threads, const CancelToken* cancel,
+      FaultSimArena* arena, const CancelToken* cancel,
       AtpgCounters* counters) const;
   [[nodiscard]] Expected<std::size_t> probe_count_impl(
       const Netlist& nl, const FaultStatusCache* base_cache,
-      FaultStatusCache* updates, FaultSimArena* arena, int num_threads,
+      FaultStatusCache* updates, FaultSimArena* arena,
       const CancelToken* cancel, AtpgCounters* counters) const;
 
   std::shared_ptr<const Library> target_;
   FlowOptions options_;
   UdfmMap udfm_;
   FaultStatusCache cache_;
-  /// Reusable fault-simulator buffers for committed analyses (probes
-  /// bring their own arena so they can run concurrently).
+  /// Reusable fault-simulator buffers for committed analyses (a probe
+  /// session brings its own arena, or none).
   FaultSimArena arena_;
   std::vector<TestPattern> seed_tests_;
   /// Seed-test good frames over the committed design, shared read-only

@@ -125,11 +125,6 @@ constexpr JobField kJobFields[] = {
        job.resyn.dedup_candidates = v.boolean;
        return Status::ok();
      }},
-    {"parallel_ladder", JobField::Kind::Bool, 0, 0,
-     [](CampaignJobSpec& job, const FieldValue& v, const char*) {
-       job.resyn.parallel_ladder = v.boolean;
-       return Status::ok();
-     }},
     {"deadline", JobField::Kind::Duration, 0, 0,
      [](CampaignJobSpec& job, const FieldValue& v, const char*) {
        job.deadline = v.duration;
@@ -304,7 +299,6 @@ void write_job_spec(JsonWriter& w, const CampaignJobSpec& job) {
   w.field("trend_window", job.resyn.trend_window);
   w.field("reanalyses_per_iteration", job.resyn.reanalyses_per_iteration);
   w.field("dedup_candidates", job.resyn.dedup_candidates);
-  w.field("parallel_ladder", job.resyn.parallel_ladder);
   if (job.deadline.count() > 0) {
     w.field("deadline",
             strfmt("%.17gs",

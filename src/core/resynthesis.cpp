@@ -1,19 +1,15 @@
 #include "src/core/resynthesis.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/core/checkpoint.hpp"
 #include "src/core/telemetry.hpp"
 #include "src/netlist/extract.hpp"
 #include "src/util/fmt.hpp"
 #include "src/util/logging.hpp"
-#include "src/util/thread_pool.hpp"
 #include "src/util/trace.hpp"
 
 namespace dfmres {
@@ -375,10 +371,9 @@ class Procedure {
   }
 
   /// See resynthesis_fingerprint() — the journal is pinned to everything
-  /// that influences the accepted-candidate sequence. parallel_ladder
-  /// and dedup_candidates are deliberately excluded: both are documented
-  /// to leave the sequence unchanged, so a journal survives a
-  /// thread-count change.
+  /// that influences the accepted-candidate sequence. dedup_candidates
+  /// and the thread count are deliberately excluded: neither changes the
+  /// sequence, so a journal survives switching either.
   std::uint64_t fingerprint(const FlowState& original) const {
     return resynthesis_fingerprint(flow_, original, options_);
   }
@@ -457,8 +452,7 @@ class Procedure {
 
   /// Folds a finished probe session's load and cache economics into the
   /// report (the only place probe-side ATPG counters surface: sessions
-  /// here are never handed to commit_probe). Callers on pool lanes must
-  /// hold the ladder mutex — report_ is shared.
+  /// here are never handed to commit_probe).
   void absorb_probe_counters(const ProbeSession& session) {
     const AtpgCounters& c = session.counters();
     report_.probe_frame_bytes += c.frame_bytes_materialized;
@@ -474,8 +468,8 @@ class Procedure {
   /// into private overlays). Respects the per-iteration PDesign()
   /// budget: once exhausted, further candidates report as gate-failed
   /// without being memoized (so a later iteration with fresh budget can
-  /// still evaluate them), and a dedup/prefetch hit charges the budget
-  /// exactly as the recompute it replaces would.
+  /// still evaluate them), and a dedup hit charges the budget exactly as
+  /// the recompute it replaces would.
   const CandMetrics& measure(const FlowState& cur,
                              std::span<const GateId> region,
                              const std::vector<bool>& banned, int phase,
@@ -524,12 +518,8 @@ class Procedure {
     // One probe session per candidate: the full analysis reuses the u_in
     // probe's overlay verdicts, and the flow itself stays untouched
     // until realize() commits the stashed overlay.
-    ProbeSession session =
-        flow_.probe(&arenas_[0], /*num_threads=*/0, options_.cancel);
-    if (const auto pit = partial_u_in_.find(sig);
-        options_.dedup_candidates && pit != partial_u_in_.end()) {
-      m.u_in_new = pit->second;  // prefetched, analysis still pending
-    } else {
+    ProbeSession session = flow_.probe(&arena_, options_.cancel);
+    {
       const ScopedTimer t(report_.u_in_seconds);
       ++report_.u_in_probes;
       auto u_in = session.count_undetectable_internal(*candidate);
@@ -590,8 +580,8 @@ class Procedure {
   }
 
   /// Produces the FlowState of an already-vetted candidate and commits
-  /// its classifications to the flow cache — from the speculative stash
-  /// when the evaluation kept one, re-running the full committed
+  /// its classifications to the flow cache — from the probe stash when
+  /// the evaluation kept one, re-running the full committed
   /// pipeline otherwise.
   std::optional<FlowState> realize(const FlowState& cur,
                                    std::span<const GateId> region,
@@ -716,7 +706,6 @@ class Procedure {
       iter_span.arg("region", static_cast<std::uint64_t>(region.size()));
     }
     reanalyses_left_ = options_.reanalyses_per_iteration;
-    prefetch_ladder(cur, region, phase, p2);
 
     int rising = 0;
     std::size_t last_u = std::numeric_limits<std::size_t>::max();
@@ -870,148 +859,11 @@ class Procedure {
     return std::nullopt;
   }
 
-  /// Speculative evaluation of the whole cell ladder on the shared
-  /// thread pool before the serial acceptance walk. Each worker probes
-  /// with a private cache overlay and simulator arena (inner ATPG runs
-  /// single-threaded — the shared pool must not be entered twice), and
-  /// publishes into the dedup structures under a mutex; the walk then
-  /// consumes the results serially, so acceptance decisions and budget
-  /// accounting are identical to the serial run. No-op with one worker.
-  void prefetch_ladder(const FlowState& cur, std::span<const GateId> region,
-                       int phase, double p2) {
-    if (!options_.parallel_ladder || !options_.dedup_candidates) return;
-    const int workers =
-        ThreadPool::resolve_threads(flow_.options().atpg.num_threads);
-    if (workers <= 1) return;
-
-    struct Rung {
-      std::vector<bool> banned;
-    };
-    std::vector<Rung> rungs;
-    std::vector<bool> banned(flow_.target().num_cells(), false);
-    for (const CellId cell : cell_order_) {
-      banned[cell.value()] = true;
-      if (memo_.find(memo_key(region, banned)) == memo_.end()) {
-        rungs.push_back({banned});
-      }
-    }
-    if (rungs.size() < 2) return;
-
-    if (arenas_.size() < static_cast<std::size_t>(workers)) {
-      arenas_.resize(static_cast<std::size_t>(workers));
-    }
-    const std::size_t u_in_cur = count_undet_internal(cur);
-    std::mutex mutex;
-    std::unordered_set<std::string> claimed;
-    // At most the iteration's reanalysis budget is speculated; the walk
-    // remains the authority on which evaluations actually charge it.
-    std::atomic<int> spec_budget{reanalyses_left_};
-
-    ThreadPool::shared().parallel_for(
-        rungs.size(), 1, workers,
-        [&](int lane, std::size_t begin, std::size_t end) {
-          for (std::size_t r = begin; r < end; ++r) {
-            if (cancel_expired(options_.cancel)) return;
-            TraceSpan spec_span("resyn.rung.spec", "resyn");
-            const auto tb = Clock::now();
-            auto candidate = build_candidate(cur, region, rungs[r].banned);
-            const double build_s =
-                std::chrono::duration<double>(Clock::now() - tb).count();
-            if (!candidate) continue;
-            const std::string sig = sig_key(*candidate);
-            {
-              std::lock_guard lock(mutex);
-              ++report_.candidates_built;
-              report_.build_seconds += build_s;
-              if (sig_memo_.contains(sig) || partial_u_in_.contains(sig) ||
-                  !claimed.insert(sig).second) {
-                continue;
-              }
-            }
-            // Lane-private session: inner ATPG runs single-threaded (a
-            // pool lane must not fan out again) on the lane's arena.
-            ProbeSession session =
-                flow_.probe(&arenas_[static_cast<std::size_t>(lane)],
-                            /*num_threads=*/1, options_.cancel);
-            CandMetrics m;
-            const auto tu = Clock::now();
-            const auto u_in = session.count_undetectable_internal(*candidate);
-            const double u_in_s =
-                std::chrono::duration<double>(Clock::now() - tu).count();
-            if (!u_in) {
-              // Cancelled mid-probe: publish nothing (the session's
-              // counters for complete prior runs still count).
-              std::lock_guard lock(mutex);
-              absorb_probe_counters(session);
-              continue;
-            }
-            m.u_in_new = *u_in;
-            if (m.u_in_new >= u_in_cur) {
-              m.u_in_gate_failed = true;
-              std::lock_guard lock(mutex);
-              ++report_.u_in_probes;
-              report_.u_in_seconds += u_in_s;
-              absorb_probe_counters(session);
-              sig_memo_.emplace(sig, m);
-              continue;
-            }
-            if (spec_budget.fetch_sub(1) <= 0) {
-              // Over the speculation budget: keep the u_in result so the
-              // walk can skip the probe, but leave the analysis (and its
-              // budget charge) to the walk.
-              std::lock_guard lock(mutex);
-              ++report_.u_in_probes;
-              report_.u_in_seconds += u_in_s;
-              absorb_probe_counters(session);
-              partial_u_in_.emplace(sig, m.u_in_new);
-              continue;
-            }
-            const auto tp = Clock::now();
-            auto state =
-                session.reanalyze(std::move(*candidate), cur.placement, false);
-            const double probe_s =
-                std::chrono::duration<double>(Clock::now() - tp).count();
-            if (!state && state.code() != StatusCode::kUnsatisfiable) {
-              // Cancelled mid-analysis: the u_in count is still complete,
-              // so keep it as a partial; the walk (if it resumes) will
-              // redo or skip the full analysis itself.
-              std::lock_guard lock(mutex);
-              ++report_.u_in_probes;
-              report_.u_in_seconds += u_in_s;
-              absorb_probe_counters(session);
-              partial_u_in_.emplace(sig, m.u_in_new);
-              continue;
-            }
-            if (!state) {
-              m.area_failed = true;
-            } else {
-              m.undetectable = state->num_undetectable();
-              m.smax = state->smax();
-              m.faults = state->num_faults();
-              m.delay = state->timing.critical_delay;
-              m.power = state->timing.total_power();
-            }
-            std::lock_guard lock(mutex);
-            ++report_.u_in_probes;
-            report_.u_in_seconds += u_in_s;
-            ++report_.full_probes;
-            report_.probe_seconds += probe_s;
-            absorb_probe_counters(session);
-            if (state && realizable(cur, m, phase, p2)) {
-              stash_.emplace(sig, Stash{std::move(*state),
-                                        session.take_updates()});
-            }
-            sig_memo_.emplace(sig, m);
-          }
-        }, options_.cancel);
-  }
-
   /// A state was accepted: the base version changes, so every
-  /// version-pinned speculative artifact of the old base is dead.
+  /// version-pinned stashed probe of the old base is dead.
   void bump_version() {
     ++state_version_;
     stash_.clear();
-    partial_u_in_.clear();
   }
 
   struct Stash {
@@ -1031,13 +883,11 @@ class Procedure {
   /// Candidate-signature memo (dedup_candidates): metrics keyed by the
   /// concrete replacement netlist rather than the ban prefix.
   std::unordered_map<std::string, CandMetrics> sig_memo_;
-  /// Prefetched u_in results whose full analysis is still pending.
-  std::unordered_map<std::string, std::size_t> partial_u_in_;
-  /// Speculative FlowStates + cache overlays of realizable candidates,
+  /// Probed FlowStates + cache overlays of realizable candidates,
   /// awaiting realize().
   std::unordered_map<std::string, Stash> stash_;
-  /// Per-ladder-lane simulator arenas (slot 0 = the serial walk).
-  std::vector<FaultSimArena> arenas_{1};
+  /// Simulator scratch reused by every probe of the walk.
+  FaultSimArena arena_;
   std::uint64_t state_version_ = 0;
   int reanalyses_left_ = 0;
   CandMetrics scratch_;

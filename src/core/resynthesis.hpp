@@ -29,14 +29,8 @@ struct ResynthesisOptions {
   /// reanalysis budget is still charged exactly as a recompute would
   /// charge it, so the accepted-candidate sequence is unchanged.
   bool dedup_candidates = true;
-  /// Evaluate the remaining ladder rungs speculatively on the shared
-  /// thread pool before the serial acceptance walk. Decisions stay
-  /// serial in ladder order, so results match the serial run; requires
-  /// dedup_candidates and degenerates to the serial walk with a single
-  /// worker.
-  bool parallel_ladder = true;
   /// Cooperative stop signal (deadline or explicit cancellation).
-  /// Speculative probes poll it; committed work (acceptance realization,
+  /// Candidate probes poll it; committed work (acceptance realization,
   /// the final sign-off) always runs to completion, so on expiry the
   /// procedure returns the best design accepted so far — never a
   /// half-applied edit. Null = run to natural completion.
@@ -88,8 +82,7 @@ struct ResynthesisReport {
   /// Acceptances reconstructed from a checkpoint journal instead of
   /// searched for.
   std::size_t replayed_accepts = 0;
-  /// Candidate-evaluation economics of the inner loop (includes the
-  /// speculative ladder work when parallel_ladder is on).
+  /// Candidate-evaluation economics of the inner loop.
   std::size_t candidates_built = 0;  ///< region extractions + re-mappings
   std::size_t u_in_probes = 0;       ///< internal-fault ATPG probes
   std::size_t full_probes = 0;       ///< PDesign()-backed re-analyses

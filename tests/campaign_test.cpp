@@ -120,7 +120,7 @@ TEST(CampaignManifest, RoundTripsThroughJson) {
   manifest.jobs[0].flow.warm_start = false;
   manifest.jobs[1].deadline = std::chrono::milliseconds(1500);
   manifest.jobs[1].resyn.p1 = 0.02;
-  manifest.jobs[1].resyn.parallel_ladder = false;
+  manifest.jobs[1].resyn.dedup_candidates = false;
 
   const auto parsed = CampaignManifest::from_json(manifest.to_json());
   ASSERT_TRUE(parsed) << parsed.status().to_string();
@@ -132,7 +132,7 @@ TEST(CampaignManifest, RoundTripsThroughJson) {
   EXPECT_EQ(parsed->jobs[1].design, "wb_conmax");
   EXPECT_EQ(parsed->jobs[1].resyn.q_max, 2);
   EXPECT_DOUBLE_EQ(parsed->jobs[1].resyn.p1, 0.02);
-  EXPECT_FALSE(parsed->jobs[1].resyn.parallel_ladder);
+  EXPECT_FALSE(parsed->jobs[1].resyn.dedup_candidates);
   EXPECT_EQ(parsed->jobs[1].deadline, std::chrono::nanoseconds(1'500'000'000));
   EXPECT_EQ(parsed->jobs[1].flow.atpg.random_batches, 4);
   EXPECT_EQ(parsed->jobs[1].resyn.max_iterations_per_phase, 8);

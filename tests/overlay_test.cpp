@@ -150,7 +150,7 @@ TEST(Overlay, DiscardedProbeLeavesCommittedStateUntouched) {
     // discardable without disturbing the flow.
     CancelToken token;
     token.cancel();
-    ProbeSession cancelled = flow.probe(nullptr, 0, &token);
+    ProbeSession cancelled = flow.probe(nullptr, &token);
     const auto u = cancelled.count_undetectable_internal(edited);
     ASSERT_FALSE(u.has_value());
     EXPECT_EQ(u.status().code(), StatusCode::kCancelled);

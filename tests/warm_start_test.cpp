@@ -67,15 +67,13 @@ struct PipelineRun {
   AtpgCounters totals;
 };
 
-PipelineRun run_pipeline(const Netlist& rtl, bool warm, bool parallel_ladder,
-                         int threads) {
+PipelineRun run_pipeline(const Netlist& rtl, bool warm, int threads) {
   DesignFlow flow(osu018_library(), flow_options(warm, threads));
   const FlowState original = flow.run_initial(rtl).value();
   ResynthesisOptions options;
   options.q_max = 2;
   options.max_iterations_per_phase = 6;
   options.dedup_candidates = warm;
-  options.parallel_ladder = parallel_ladder;
   ResynthesisResult result = resynthesize(flow, original, options).value();
   return {std::move(result.state), std::move(result.report),
           flow.atpg_totals()};
@@ -135,23 +133,22 @@ Netlist remap_one_gate(const Netlist& base) {
 
 TEST(WarmStart, ColdVsWarmPipelineIdentity) {
   for (const Netlist& rtl : {block_a(), block_b()}) {
-    const PipelineRun warm =
-        run_pipeline(rtl, /*warm=*/true, /*parallel_ladder=*/false, 1);
-    const PipelineRun cold =
-        run_pipeline(rtl, /*warm=*/false, /*parallel_ladder=*/false, 1);
+    const PipelineRun warm = run_pipeline(rtl, /*warm=*/true, 1);
+    const PipelineRun cold = run_pipeline(rtl, /*warm=*/false, 1);
     expect_identical(warm, cold);
   }
 }
 
-TEST(WarmStart, SerialVsParallelLadderIdentity) {
+TEST(WarmStart, ResynthesisIdenticalAcrossThreadCounts) {
   // resolve_threads honors explicit requests above the hardware count,
-  // so four ladder workers are exercised even on a single-core host.
+  // so four fault-sim lanes are exercised even on a single-core host.
+  // The candidate walk is serial, so even its work counters match.
   for (const Netlist& rtl : {block_a(), block_b()}) {
-    const PipelineRun serial =
-        run_pipeline(rtl, /*warm=*/true, /*parallel_ladder=*/false, 4);
-    const PipelineRun parallel =
-        run_pipeline(rtl, /*warm=*/true, /*parallel_ladder=*/true, 4);
+    const PipelineRun serial = run_pipeline(rtl, /*warm=*/true, 1);
+    const PipelineRun parallel = run_pipeline(rtl, /*warm=*/true, 4);
     expect_identical(serial, parallel);
+    EXPECT_EQ(serial.report.candidates_built,
+              parallel.report.candidates_built);
   }
 }
 
@@ -183,15 +180,13 @@ TEST(WarmStart, CachedStatusesMatchColdRecomputeAfterRewrite) {
 }
 
 TEST(WarmStart, ReplayAndConeCountersAdvance) {
-  const PipelineRun warm =
-      run_pipeline(block_a(), /*warm=*/true, /*parallel_ladder=*/false, 1);
+  const PipelineRun warm = run_pipeline(block_a(), /*warm=*/true, 1);
   // Seed replay resolved at least some faults without random patterns,
   // and the sign-off re-analysis trusted cached detections outside the
   // rewritten cones instead of re-running PODEM on them.
   EXPECT_GT(warm.totals.replay_drops, 0u);
   EXPECT_GT(warm.totals.podem_targets_skipped, 0u);
-  const PipelineRun cold =
-      run_pipeline(block_a(), /*warm=*/false, /*parallel_ladder=*/false, 1);
+  const PipelineRun cold = run_pipeline(block_a(), /*warm=*/false, 1);
   EXPECT_EQ(cold.totals.replay_drops, 0u);
   EXPECT_EQ(cold.totals.podem_targets_skipped, 0u);
 }

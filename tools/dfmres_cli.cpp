@@ -336,8 +336,8 @@ int usage() {
                "instead of stdout\n"
                "  --threads N: fault-simulation worker lanes "
                "(0 = hardware, 1 = serial; results are identical)\n"
-               "  --cold: disable warm-start ATPG, candidate dedup and the "
-               "parallel ladder (reference mode; same results, slower)\n"
+               "  --cold: disable warm-start ATPG and candidate dedup "
+               "(reference mode; same results, slower)\n"
                "  --deadline D: stop searching after D (e.g. 500ms, 30s, "
                "2m) and keep the best accepted design\n"
                "  --checkpoint DIR: journal every accepted candidate to "
@@ -553,7 +553,6 @@ int cmd_resyn(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--cold")) {
       job.flow.warm_start = false;
       job.resyn.dedup_candidates = false;
-      job.resyn.parallel_ladder = false;
     } else if (obs.match(argc, argv, &i)) {
       continue;
     } else {
