@@ -277,16 +277,38 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
       occupancy[routes.cell(gx, gy)] +=
           static_cast<double>(nl.cell_of(g).width_sites) / gcell_sites;
     }
-    // Nets present per gcell (deduplicated via last-writer check).
-    std::vector<std::vector<NetId>> nets_in(static_cast<std::size_t>(gw) * gh);
-    for (const RouteSegment& s : routes.segments) {
-      for (int t = s.lo; t <= s.hi; ++t) {
-        const int x = s.horizontal ? t : s.fixed;
-        const int y = s.horizontal ? s.fixed : t;
-        auto& bucket = nets_in[routes.cell(x, y)];
-        if (bucket.empty() || bucket.back() != s.net) bucket.push_back(s.net);
+    // Nets present per gcell, deduplicated via a last-writer check, as
+    // one CSR array: gcell c holds nets_in[nets_at[c], nets_at[c + 1]).
+    // Pass 1 counts each gcell's entries, pass 2 fills them in routing
+    // order.
+    const std::size_t num_gcells = static_cast<std::size_t>(gw) * gh;
+    const auto for_each_gcell = [&routes](const auto& visit) {
+      for (const RouteSegment& s : routes.segments) {
+        for (int t = s.lo; t <= s.hi; ++t) {
+          const int x = s.horizontal ? t : s.fixed;
+          const int y = s.horizontal ? s.fixed : t;
+          visit(routes.cell(x, y), s.net);
+        }
       }
+    };
+    std::vector<std::uint32_t> nets_at(num_gcells + 1, 0);
+    {
+      std::vector<NetId> last(num_gcells, NetId::invalid());
+      for_each_gcell([&](std::size_t c, NetId net) {
+        if (last[c] != net) {
+          last[c] = net;
+          ++nets_at[c + 1];
+        }
+      });
     }
+    for (std::size_t c = 0; c < num_gcells; ++c) nets_at[c + 1] += nets_at[c];
+    std::vector<NetId> nets_in(nets_at[num_gcells]);
+    std::vector<std::uint32_t> fill(nets_at.begin(), nets_at.end() - 1);
+    for_each_gcell([&](std::size_t c, NetId net) {
+      if (fill[c] == nets_at[c] || nets_in[fill[c] - 1] != net) {
+        nets_in[fill[c]++] = net;
+      }
+    });
 
     // Per-window gcell count of each net, and the nets in the order the
     // window first touches them (row-major gcells, routing order within).
@@ -306,7 +328,8 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
             util += occupancy[c];
             wiring += (routes.h_usage[c] + routes.v_usage[c]) / cap2;
             ++cells;
-            for (NetId n : nets_in[c]) {
+            for (std::uint32_t i = nets_at[c]; i < nets_at[c + 1]; ++i) {
+              const NetId n = nets_in[i];
               if (net_gcells[n.value()]++ == 0) touched.push_back(n);
             }
           }
