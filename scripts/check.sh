@@ -94,6 +94,28 @@ assert "traceEvents" in trace, "failed run left no trace document"
 print("observability gate: failed-run trace still loads")
 EOF
 
+# Thread-count gate: the candidate walk is serial and fault simulation is
+# bit-identical at any fan-out, so a 1-thread resynthesis must reach the
+# same accepted points and final counts as the gate's default-thread run.
+"$BUILD_DIR/tools/dfmres" resyn sparc_tlu --q 1 --threads 1 \
+  --report-out "$OBS_DIR/report_t1.json" > /dev/null
+python3 - "$OBS_DIR/report.json" "$OBS_DIR/report_t1.json" <<'EOF'
+import json, sys
+runs = [json.load(open(p)) for p in sys.argv[1:]]
+def accepted(r):
+    return [{k: v for k, v in p.items() if k != "seconds"}
+            for p in r["resynthesis"]["convergence"] if p["accepted"]]
+def final(r):
+    return {k: r["final"][k] for k in ("undetectable", "smax", "detected",
+                                       "aborted")}
+for r in runs:
+    assert not r["resynthesis"]["deadline_expired"], "deadline expired"
+assert accepted(runs[0]), "no accepted point"
+assert accepted(runs[0]) == accepted(runs[1]), "accepted points differ"
+assert final(runs[0]) == final(runs[1]), (final(runs[0]), final(runs[1]))
+print("thread-count gate: --threads 1 matches the default-thread run")
+EOF
+
 # Campaign gate: a 2-job mini-campaign from a manifest, run by two
 # in-process lease workers, must finish with every job completed and
 # emit a schema-valid campaign report whose per-job run reports and

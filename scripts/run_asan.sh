@@ -2,8 +2,8 @@
 # AddressSanitizer + UndefinedBehaviorSanitizer gate for the warm-start
 # incremental ATPG machinery: -DDFMRES_SANITIZE=address expands to
 # address,undefined (see CMakeLists.txt). Runs the suites that exercise
-# the simulator-arena rebinding, the cache overlays and the speculative
-# ladder (warm_start_test), the core flow (core_test), the engine
+# the simulator-arena rebinding, the cache overlays and the probe stash
+# of the candidate walk (warm_start_test), the core flow (core_test), the engine
 # itself (atpg_test), and the copy-on-write probe overlays
 # (overlay_test — baseline frame aliasing and the per-batch dirty-slot
 # replay are exactly the pointer gymnastics ASan is for), and the DFM

@@ -42,8 +42,9 @@ TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/campaign_test" \
 # small-block cases drive the same load/discard/rebase paths.
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/overlay_test" \
   --gtest_filter='-OverlayHeavy.*'
-# Parallel ladder: concurrent probe sessions on pool lanes read one
-# shared base fault-status cache while each writes its own overlay.
+# Warm-start resynthesis at 1 and 4 threads: each probe session's ATPG
+# fans fault simulation out over the pool while the walk's simulator
+# arena and the session overlay are reused probe after probe.
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/warm_start_test"
 # Lease protocol: racing claim threads and the HeartbeatKeeper refresh
 # thread against the claim-scoped cancel token. The fork-based resume

@@ -123,7 +123,7 @@ struct AtpgResult {
                                   const AtpgOptions& options = {},
                                   FaultStatusCache* cache = nullptr);
 
-/// Split-cache variant for speculative evaluations running concurrently
+/// Split-cache variant for speculative evaluations (probe sessions)
 /// over a shared memo: lookups consult `updates` first and fall back to
 /// the read-only `base`; stores go to `updates` only, and only for the
 /// verdicts this run computed (a fault either cache resolved is not

@@ -241,7 +241,7 @@ Status run_job(const CampaignJobSpec& spec, const CancelToken& cancel,
   if (!design) return design.status();
 
   FlowOptions flow_options = spec.flow;
-  // Two-level budget: the job's fault-sim/ladder fan-out never exceeds
+  // Two-level budget: the job's fault-sim fan-out never exceeds
   // its share of the machine; an explicit manifest cap only lowers it.
   flow_options.atpg.num_threads =
       flow_options.atpg.num_threads == 0

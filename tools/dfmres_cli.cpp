@@ -594,7 +594,7 @@ int cmd_resyn(int argc, char** argv) {
               result->report.q_used, result->report.runtime_seconds);
   if (result->report.deadline_expired) {
     std::printf("deadline expired: returned the best accepted design "
-                "(%zu ladder rungs skipped)\n",
+                "(%zu candidate probes interrupted)\n",
                 result->report.rungs_skipped);
   }
   if (result->report.replayed_accepts > 0) {
