@@ -14,10 +14,10 @@
 // (per-block wall times, aggregate ATPG counters, initial and final U /
 // aborted / coverage, final %Smax and the accepted-candidate trace). With DFMRES_BENCH_COLD=1 each
 // block additionally runs in the cold-start reference configuration
-// (no seed replay / cone trust, no dedup); the bench then
-// verifies that final U, %Smax, coverage and the accepted-candidate
-// sequence are identical, reports the warm-vs-cold speedup, and exits
-// nonzero on any mismatch.
+// (no seed replay / cone trust, no dedup); the bench then verifies that
+// final U, %Smax, coverage and the accepted-candidate sequence are
+// identical, reports the warm-vs-cold speedup, and exits nonzero on any
+// mismatch.
 
 #include <algorithm>
 #include <chrono>

@@ -3,8 +3,8 @@
 # incremental ATPG machinery: -DDFMRES_SANITIZE=address expands to
 # address,undefined (see CMakeLists.txt). Runs the suites that exercise
 # the simulator-arena rebinding, the cache overlays and the probe stash
-# of the candidate walk (warm_start_test), the core flow (core_test), the engine
-# itself (atpg_test), and the copy-on-write probe overlays
+# of the candidate walk (warm_start_test), the core flow (core_test),
+# the engine itself (atpg_test), and the copy-on-write probe overlays
 # (overlay_test — baseline frame aliasing and the per-batch dirty-slot
 # replay are exactly the pointer gymnastics ASan is for), and the DFM
 # extractor (dfm_test: flat arrays indexed by net slot and gcell line,

@@ -519,22 +519,22 @@ class Procedure {
     // probe's overlay verdicts, and the flow itself stays untouched
     // until realize() commits the stashed overlay.
     ProbeSession session = flow_.probe(&arena_, options_.cancel);
-    {
+    const Expected<std::size_t> u_in = [&] {
       const ScopedTimer t(report_.u_in_seconds);
       ++report_.u_in_probes;
-      auto u_in = session.count_undetectable_internal(*candidate);
-      if (!u_in) {
-        // Cancelled mid-probe: partial verdicts are discarded, nothing
-        // is memoized, and the caller abandons the iteration.
-        ++report_.rungs_skipped;
-        absorb_probe_counters(session);
-        scratch_ = m;
-        scratch_.cancelled = true;
-        scratch_.u_in_gate_failed = true;
-        return scratch_;
-      }
-      m.u_in_new = *u_in;
+      return session.count_undetectable_internal(*candidate);
+    }();
+    if (!u_in) {
+      // Cancelled mid-probe: partial verdicts are discarded, nothing is
+      // memoized, and the caller abandons the iteration.
+      ++report_.rungs_skipped;
+      absorb_probe_counters(session);
+      scratch_ = m;
+      scratch_.cancelled = true;
+      scratch_.u_in_gate_failed = true;
+      return scratch_;
     }
+    m.u_in_new = *u_in;
     const std::size_t u_in_cur = count_undet_internal(cur);
     if (m.u_in_new >= u_in_cur) {
       // PDesign() gate (Section III-B): physical design only when the
